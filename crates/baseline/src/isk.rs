@@ -115,7 +115,14 @@ impl IsKScheduler {
         let order = list_order(inst)?;
         let planner = Floorplanner::new(self.config.floorplan.clone());
         let mut nodes_total = 0u64;
+        // IS-k (ref. [6]) schedules onto one device. On a multi-fabric
+        // platform it keeps to fabric 0: every region it opens lands there
+        // (see `PartialSchedule::into_schedule`), so capacity and
+        // reconfiguration times come from that fabric, not from the
+        // platform's sum-capacity relaxation. Without a platform fabric 0
+        // is the device itself.
         let mut virtual_inst = inst.clone();
+        virtual_inst.architecture.device = inst.architecture.fabric(0).clone();
 
         for attempt in 1..=self.config.max_attempts.max(1) {
             if cancel.is_cancelled() {
@@ -123,8 +130,7 @@ impl IsKScheduler {
             }
             let (schedule, nodes) = self.run_windows(&virtual_inst, &order, cancel)?;
             nodes_total += nodes;
-            let demands: Vec<_> = schedule.regions.iter().map(|r| r.res).collect();
-            let outcome = planner.check_device_cancel(&inst.architecture.device, &demands, cancel);
+            let outcome = planner.check(&inst.architecture, &schedule.regions, cancel);
             if let FloorplanOutcome::Feasible(_) = outcome {
                 return Ok(IsKResult {
                     schedule,
@@ -139,16 +145,15 @@ impl IsKScheduler {
                 return Err(SchedError::DeadlineExceeded);
             }
             let (num, den) = self.config.shrink_factor;
-            virtual_inst.architecture.device = virtual_inst
+            virtual_inst
                 .architecture
                 .device
-                .with_scaled_capacity(num, den);
+                .scale_capacity_in_place(num, den);
         }
 
         // All-software fallback.
-        let mut zero = inst.clone();
-        zero.architecture.device.max_res = prfpga_model::ResourceVec::ZERO;
-        let (schedule, nodes) = self.run_windows(&zero, &order, cancel)?;
+        virtual_inst.architecture.device.max_res = prfpga_model::ResourceVec::ZERO;
+        let (schedule, nodes) = self.run_windows(&virtual_inst, &order, cancel)?;
         nodes_total += nodes;
         Ok(IsKResult {
             schedule,

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prfpga_dag::{CpmAnalysis, Dag};
 use prfpga_floorplan::{Floorplanner, FloorplannerConfig};
 use prfpga_gen::{GraphConfig, TaskGraphGenerator};
-use prfpga_model::{Architecture, ResourceVec, Time};
+use prfpga_model::{Architecture, CancelToken, ResourceVec, Time};
 use prfpga_sched::metrics::MetricWeights;
 use prfpga_sched::phases::impl_select::{max_t, select_implementations};
 use prfpga_sched::CostPolicy;
@@ -52,6 +52,7 @@ fn phases(c: &mut Criterion) {
             planner.check_device(
                 std::hint::black_box(&device),
                 std::hint::black_box(&demands),
+                &CancelToken::never(),
             )
         })
     });

@@ -12,7 +12,8 @@ use prfpga_bench::experiments::{
     fig2_section, fig6_section, fig6_traces, improvement_section, improvement_summaries,
     run_suite_exec, table1_section, Algo,
 };
-use prfpga_bench::{phase_trace_section, ExecPolicy, Scale};
+use prfpga_bench::{phase_trace_section, Scale};
+use prfpga_sched::ExecPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -2,7 +2,8 @@
 //! PA-R, IS-1 and IS-5.
 
 use prfpga_bench::experiments::{fig2_section, run_suite_exec, Algo};
-use prfpga_bench::{ExecPolicy, Scale};
+use prfpga_bench::Scale;
+use prfpga_sched::ExecPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

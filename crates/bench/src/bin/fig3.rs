@@ -2,7 +2,8 @@
 //! (paper: 14.8% on average, peaking for 20-60 task graphs).
 
 use prfpga_bench::experiments::{improvement_section, improvement_summaries, run_suite_exec, Algo};
-use prfpga_bench::{ExecPolicy, Scale};
+use prfpga_bench::Scale;
+use prfpga_sched::ExecPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

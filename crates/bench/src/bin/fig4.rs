@@ -2,7 +2,8 @@
 //! (paper: smaller than the IS-1 gap — IS-5's joint window narrows it).
 
 use prfpga_bench::experiments::{improvement_section, improvement_summaries, run_suite_exec, Algo};
-use prfpga_bench::{ExecPolicy, Scale};
+use prfpga_bench::Scale;
+use prfpga_sched::ExecPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -2,7 +2,8 @@
 //! IS-5 (paper: IS-5 wins at 10 tasks; PA-R averages 22.3% beyond 20).
 
 use prfpga_bench::experiments::{improvement_section, improvement_summaries, run_suite_exec, Algo};
-use prfpga_bench::{ExecPolicy, Scale};
+use prfpga_bench::Scale;
+use prfpga_sched::ExecPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

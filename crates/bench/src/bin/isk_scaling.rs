@@ -12,9 +12,9 @@
 
 use prfpga_baseline::{IsKConfig, IsKScheduler};
 use prfpga_bench::report::markdown_table;
-use prfpga_bench::{parallel_map, ExecPolicy};
 use prfpga_gen::{GraphConfig, TaskGraphGenerator};
 use prfpga_model::Architecture;
+use prfpga_sched::{parallel_map, ExecPolicy};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

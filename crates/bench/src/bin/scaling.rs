@@ -23,8 +23,9 @@
 use prfpga_bench::report::markdown_table;
 use prfpga_bench::{
     check_throughput_regression, measure_scaling_entry, partition_quality_bench, reach_microbench,
-    warmup_run, ExecPolicy, PartitionBench, ReachBench, ScalingReport, ScalingStudyConfig,
+    warmup_run, PartitionBench, ReachBench, ScalingReport, ScalingStudyConfig,
 };
+use prfpga_sched::ExecPolicy;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()

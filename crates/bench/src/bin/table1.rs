@@ -1,7 +1,8 @@
 //! Regenerates Table I: algorithm execution times vs task-graph size.
 
 use prfpga_bench::experiments::{run_suite_exec, table1_section, Algo};
-use prfpga_bench::{phase_trace_section, ExecPolicy, Scale};
+use prfpga_bench::{phase_trace_section, Scale};
+use prfpga_sched::ExecPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -8,10 +8,10 @@ use prfpga_baseline::IsKConfig;
 use prfpga_model::ProblemInstance;
 use prfpga_sched::{PaRScheduler, SchedulerConfig};
 
-use crate::exec::{parallel_map, ExecPolicy};
 use crate::report::{improvement_pct, markdown_table, mean, sample_std, secs, GroupSummary};
 use crate::runners::{run_heft, run_isk, run_pa, run_par_timed, InstanceResult};
 use crate::scale::ScaleConfig;
+use prfpga_sched::exec::{parallel_map, ExecPolicy};
 
 /// The algorithms the suite driver can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod exec;
 pub mod experiments;
 pub mod repair;
 pub mod report;
@@ -30,7 +29,6 @@ pub mod runners;
 pub mod scale;
 pub mod server_load;
 
-pub use exec::{parallel_map, ExecPolicy};
 pub use repair::{
     baseline_with_resolve_us, check_repair_regression, measure_repair_entry, repair_instance,
     RepairEntry, RepairReport, REPAIR_SEED,

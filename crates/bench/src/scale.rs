@@ -22,7 +22,7 @@ use prfpga_sched::{Phase, SchedulerConfig};
 use prfpga_sim::validate_schedule_sweep;
 use serde::{Deserialize, Serialize};
 
-use crate::exec::{parallel_map, ExecPolicy};
+use prfpga_sched::exec::{parallel_map, ExecPolicy};
 
 /// Which scale the harness runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,8 +5,9 @@
 use prfpga_bench::experiments::{
     fig2_section, improvement_section, improvement_summaries, run_suite_exec, Algo,
 };
-use prfpga_bench::{ExecPolicy, Scale};
+use prfpga_bench::Scale;
 use prfpga_gen::SuiteConfig;
+use prfpga_sched::ExecPolicy;
 
 /// Mini-suite over deterministic algorithms only. PA-R's time-matched
 /// budget derives from a *measured* IS-5 wall-clock, so its iteration

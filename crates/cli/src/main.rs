@@ -29,7 +29,8 @@ use prfpga_model::{
 };
 use prfpga_portfolio::{Portfolio, PortfolioConfig};
 use prfpga_sched::{
-    CancelToken, PaRScheduler, PaScheduler, RepairConfig, RepairEngine, SchedulerConfig,
+    CancelToken, PaRScheduler, PaScheduler, RepairConfig, RepairEngine, SchedWorkspace,
+    SchedulerConfig,
 };
 use prfpga_server::{Server, ServerConfig, TcpTransport};
 use prfpga_sim::{render_gantt, schedule_stats, validate_schedule_sweep};
@@ -66,11 +67,6 @@ const USAGE: &str = "usage:
                   [--threads <n>]         (PA-R workers; default: all cores,
                                            or the PRFPGA_THREADS variable)
                   [--serial]              (force single-threaded PA-R)
-                  [--no-workspace-reuse]  (fresh buffers per pipeline run;
-                                           byte-identical, slower)
-                  [--no-csr]              (adjacency+DFS graph paths instead
-                                           of CSR/bitset; byte-identical,
-                                           slower at 10k+ tasks)
   prfpga validate --input <file.json> --schedule <schedule.json>
   prfpga replay   --input <file.json> [--trace <events.json>]
                   [--events <n>] [--seed <s>]   (synthesize a trace with the
@@ -256,11 +252,6 @@ fn schedule(args: &[String]) -> Result<(), String> {
         return Err("--trace requires --algo pa or portfolio".into());
     }
     let threads = thread_policy(args)?;
-    // Escape hatch for the warm-workspace fast path; schedules are
-    // byte-identical either way, only throughput differs.
-    let workspace_reuse = !has(args, "--no-workspace-reuse");
-    // Likewise for the CSR/bitset graph fast paths.
-    let csr_paths = !has(args, "--no-csr");
     // One cooperative token for the whole run; `--deadline-ms` arms it,
     // otherwise it never fires and behaviour is byte-identical to the
     // deadline-free paths.
@@ -274,13 +265,9 @@ fn schedule(args: &[String]) -> Result<(), String> {
     let mut degraded = false;
     let sched: Schedule = match algo.as_str() {
         "pa" => {
-            let r = PaScheduler::new(SchedulerConfig {
-                workspace_reuse,
-                csr_paths,
-                ..Default::default()
-            })
-            .schedule_with_cancel(&inst, &cancel)
-            .map_err(|e| e.to_string())?;
+            let r = PaScheduler::new(SchedulerConfig::default())
+                .schedule_with_cancel_in(&inst, &cancel, &mut SchedWorkspace::new())
+                .map_err(|e| e.to_string())?;
             if trace {
                 phase_table = Some(r.trace.render_table());
             }
@@ -290,16 +277,14 @@ fn schedule(args: &[String]) -> Result<(), String> {
         "par" => {
             let par = PaRScheduler::new(SchedulerConfig {
                 time_budget: Duration::from_millis(budget_ms),
-                workspace_reuse,
-                csr_paths,
                 ..Default::default()
             });
             if threads > 1 {
-                par.schedule_parallel_with_cancel(&inst, threads, &cancel)
+                par.schedule_parallel(&inst, threads, &cancel)
                     .map_err(|e| e.to_string())?
             } else {
                 let r = par
-                    .schedule_with_cancel(&inst, &cancel)
+                    .schedule_with_cancel_in(&inst, &cancel, &mut SchedWorkspace::new())
                     .map_err(|e| e.to_string())?;
                 degraded = r.degraded;
                 r.schedule
@@ -326,8 +311,6 @@ fn schedule(args: &[String]) -> Result<(), String> {
                 first_feasible_wins: has(args, "--first-feasible"),
                 sched: SchedulerConfig {
                     time_budget: Duration::from_millis(budget_ms),
-                    workspace_reuse,
-                    csr_paths,
                     ..Default::default()
                 },
                 ..Default::default()

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use prfpga_model::{CancelToken, Device, ResourceVec};
+use prfpga_model::{Architecture, CancelToken, Device, Region, ResourceVec};
 
 use crate::rect::Rect;
 use crate::solver::{FloorplanOutcome, Floorplanner};
@@ -81,7 +81,7 @@ enum CachedVerdict {
     Infeasible,
 }
 
-/// Shared map + counters behind both cache front-ends.
+/// Map + counters behind the cache's lock.
 #[derive(Debug, Default)]
 struct CacheCore {
     map: HashMap<CacheKey, CachedVerdict>,
@@ -171,14 +171,17 @@ fn canonical_key(device: &Device, demands: &[ResourceVec]) -> Option<(CacheKey, 
 
 /// A bounded memoization layer over a [`Floorplanner`].
 ///
-/// Answers [`Floorplanner::check_device`] queries, remembering exact
-/// verdicts per canonical demand signature. Single-owner variant; see
-/// [`SharedFeasibilityCache`] for the lock-guarded one parallel PA-R
-/// workers share.
-#[derive(Debug)]
+/// Answers [`Floorplanner::check`] and [`Floorplanner::check_device`]
+/// queries, remembering exact verdicts per canonical demand signature.
+/// Clones share one map, so parallel PA-R workers share what any of them
+/// learned. The map lives behind a [`parking_lot::Mutex`]; solves happen
+/// *outside* the lock, so workers never serialize on the backtracking
+/// search — two workers racing on the same cold signature both solve and
+/// the second insert is a no-op overwrite of an identical verdict.
+#[derive(Debug, Clone)]
 pub struct FeasibilityCache {
     planner: Floorplanner,
-    core: CacheCore,
+    core: Arc<Mutex<CacheCore>>,
 }
 
 impl FeasibilityCache {
@@ -186,130 +189,61 @@ impl FeasibilityCache {
     pub fn new(planner: Floorplanner, capacity: usize) -> Self {
         FeasibilityCache {
             planner,
-            core: CacheCore::with_capacity(capacity),
-        }
-    }
-
-    /// [`Floorplanner::check_device`] through the cache: a memoized exact
-    /// verdict when the canonical signature is known, a cold solve (whose
-    /// exact outcome is then remembered) otherwise.
-    pub fn check_device(&mut self, device: &Device, demands: &[ResourceVec]) -> FloorplanOutcome {
-        self.check_device_cancel(device, demands, &CancelToken::never())
-    }
-
-    /// [`Floorplanner::check_device_cancel`] through the cache. A `Timeout`
-    /// — including one induced by `cancel` firing mid-solve — is never
-    /// cached, so a cancelled query leaves the cache exactly as warm (and as
-    /// correct) as before the call.
-    pub fn check_device_cancel(
-        &mut self,
-        device: &Device,
-        demands: &[ResourceVec],
-        cancel: &CancelToken,
-    ) -> FloorplanOutcome {
-        let Some((key, perm)) = canonical_key(device, demands) else {
-            return self.planner.check_device_cancel(device, demands, cancel);
-        };
-        if let Some(outcome) = self.core.lookup(&key, &perm) {
-            return outcome;
-        }
-        let outcome = self.planner.check_device_cancel(device, demands, cancel);
-        self.core.insert(key, &outcome, &perm);
-        outcome
-    }
-
-    /// [`Floorplanner::check_platform_cancel`] through the cache: one
-    /// memoized per-fabric query per occupied fabric. The canonical key
-    /// already fingerprints the fabric geometry, so identical demand sets
-    /// on different fabrics never collide.
-    pub fn check_platform_cancel(
-        &mut self,
-        platform: &prfpga_model::Platform,
-        demands: &[ResourceVec],
-        fabric_of: &[u32],
-        cancel: &CancelToken,
-    ) -> FloorplanOutcome {
-        crate::solver::check_platform_with(platform, demands, fabric_of, |device, sub| {
-            self.check_device_cancel(device, sub, cancel)
-        })
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.core.stats
-    }
-
-    /// Number of cached signatures.
-    pub fn len(&self) -> usize {
-        self.core.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.core.map.is_empty()
-    }
-}
-
-/// A [`FeasibilityCache`] shareable across PA-R workers.
-///
-/// The map lives behind a [`parking_lot::Mutex`]; solves happen *outside*
-/// the lock, so workers never serialize on the backtracking search — two
-/// workers racing on the same cold signature both solve and the second
-/// insert is a no-op overwrite of an identical verdict.
-#[derive(Debug, Clone)]
-pub struct SharedFeasibilityCache {
-    planner: Floorplanner,
-    core: Arc<Mutex<CacheCore>>,
-}
-
-impl SharedFeasibilityCache {
-    /// Wraps `planner` with a shared cache bounded to `capacity` entries.
-    pub fn new(planner: Floorplanner, capacity: usize) -> Self {
-        SharedFeasibilityCache {
-            planner,
             core: Arc::new(Mutex::new(CacheCore::with_capacity(capacity))),
         }
     }
 
-    /// See [`FeasibilityCache::check_device`].
-    pub fn check_device(&self, device: &Device, demands: &[ResourceVec]) -> FloorplanOutcome {
-        self.check_device_cancel(device, demands, &CancelToken::never())
+    /// [`Floorplanner::check`] through the cache: one memoized device
+    /// query per occupied fabric. The canonical key fingerprints the
+    /// fabric geometry, so identical demand sets on different fabrics never
+    /// collide.
+    pub fn check(
+        &self,
+        arch: &Architecture,
+        regions: &[Region],
+        cancel: &CancelToken,
+    ) -> FloorplanOutcome {
+        crate::solver::check_with(arch, regions, |device, demands| {
+            self.check_device(device, demands, cancel)
+        })
     }
 
-    /// See [`FeasibilityCache::check_device_cancel`].
-    pub fn check_device_cancel(
+    /// [`Floorplanner::check_device`] through the cache: a memoized exact
+    /// verdict when the canonical signature is known, a cold solve (whose
+    /// exact outcome is then remembered) otherwise. A `Timeout` — including
+    /// one induced by `cancel` firing mid-solve — is never cached, so a
+    /// cancelled query leaves the cache exactly as warm (and as correct) as
+    /// before the call.
+    pub fn check_device(
         &self,
         device: &Device,
         demands: &[ResourceVec],
         cancel: &CancelToken,
     ) -> FloorplanOutcome {
         let Some((key, perm)) = canonical_key(device, demands) else {
-            return self.planner.check_device_cancel(device, demands, cancel);
+            return self.planner.check_device(device, demands, cancel);
         };
         if let Some(outcome) = self.core.lock().lookup(&key, &perm) {
             return outcome;
         }
-        let outcome = self.planner.check_device_cancel(device, demands, cancel);
+        let outcome = self.planner.check_device(device, demands, cancel);
         self.core.lock().insert(key, &outcome, &perm);
         outcome
     }
 
-    /// See [`FeasibilityCache::check_platform_cancel`].
-    pub fn check_platform_cancel(
-        &self,
-        platform: &prfpga_model::Platform,
-        demands: &[ResourceVec],
-        fabric_of: &[u32],
-        cancel: &CancelToken,
-    ) -> FloorplanOutcome {
-        crate::solver::check_platform_with(platform, demands, fabric_of, |device, sub| {
-            self.check_device_cancel(device, sub, cancel)
-        })
-    }
-
-    /// Hit/miss counters so far, across all sharers.
+    /// Hit/miss counters so far, across all clones.
     pub fn stats(&self) -> CacheStats {
         self.core.lock().stats
+    }
+
+    /// Number of cached signatures.
+    pub fn len(&self) -> usize {
+        self.core.lock().map.len()
+    }
+
+    /// True when nothing has been cached yet.
+    pub fn is_empty(&self) -> bool {
+        self.core.lock().map.is_empty()
     }
 }
 
@@ -317,6 +251,10 @@ impl SharedFeasibilityCache {
 mod tests {
     use super::*;
     use prfpga_model::{FabricColumn, FabricGeometry};
+
+    fn never() -> CancelToken {
+        CancelToken::never()
+    }
 
     fn geo_device() -> Device {
         Device::xc7z020()
@@ -330,12 +268,12 @@ mod tests {
     #[test]
     fn repeat_query_hits_and_matches_cold_solve() {
         let planner = Floorplanner::default();
-        let mut cache = FeasibilityCache::new(planner.clone(), 16);
+        let cache = FeasibilityCache::new(planner.clone(), 16);
         let device = geo_device();
         let demands = vec![ResourceVec::new(600, 10, 20), ResourceVec::new(400, 0, 0)];
-        let cold = planner.check_device(&device, &demands);
-        let first = cache.check_device(&device, &demands);
-        let second = cache.check_device(&device, &demands);
+        let cold = planner.check_device(&device, &demands, &never());
+        let first = cache.check_device(&device, &demands, &never());
+        let second = cache.check_device(&device, &demands, &never());
         assert_eq!(first, cold, "first query is the cold solve itself");
         assert_eq!(second, cold, "identical repeat returns the same witness");
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
@@ -344,14 +282,15 @@ mod tests {
     #[test]
     fn permuted_demands_hit_with_remapped_witness() {
         let planner = Floorplanner::default();
-        let mut cache = FeasibilityCache::new(planner, 16);
+        let cache = FeasibilityCache::new(planner, 16);
         let device = geo_device();
         let a = ResourceVec::new(600, 10, 20);
         let b = ResourceVec::new(400, 0, 0);
-        let FloorplanOutcome::Feasible(_) = cache.check_device(&device, &[a, b]) else {
+        let FloorplanOutcome::Feasible(_) = cache.check_device(&device, &[a, b], &never()) else {
             panic!("small demand set must place");
         };
-        let FloorplanOutcome::Feasible(rects) = cache.check_device(&device, &[b, a]) else {
+        let FloorplanOutcome::Feasible(rects) = cache.check_device(&device, &[b, a], &never())
+        else {
             panic!("permutation of a feasible set is feasible");
         };
         assert_eq!(cache.stats().hits, 1);
@@ -366,7 +305,7 @@ mod tests {
     #[test]
     fn infeasible_is_cached() {
         let planner = Floorplanner::default();
-        let mut cache = FeasibilityCache::new(planner.clone(), 16);
+        let cache = FeasibilityCache::new(planner.clone(), 16);
         // A 1-column, 1-row grid cannot host two 1-CLB regions in disjoint
         // rectangles.
         let device = Device {
@@ -378,15 +317,15 @@ mod tests {
         };
         let demands = vec![ResourceVec::new(1, 0, 0), ResourceVec::new(1, 0, 0)];
         assert_eq!(
-            planner.check_device(&device, &demands),
+            planner.check_device(&device, &demands, &never()),
             FloorplanOutcome::Infeasible
         );
         assert_eq!(
-            cache.check_device(&device, &demands),
+            cache.check_device(&device, &demands, &never()),
             FloorplanOutcome::Infeasible
         );
         assert_eq!(
-            cache.check_device(&device, &demands),
+            cache.check_device(&device, &demands, &never()),
             FloorplanOutcome::Infeasible
         );
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
@@ -394,11 +333,13 @@ mod tests {
 
     #[test]
     fn no_geometry_bypasses_the_cache() {
-        let mut cache = FeasibilityCache::new(Floorplanner::default(), 16);
+        let cache = FeasibilityCache::new(Floorplanner::default(), 16);
         let device = flat_device();
         let demands = vec![ResourceVec::new(5, 0, 0)];
         for _ in 0..3 {
-            assert!(cache.check_device(&device, &demands).is_feasible());
+            assert!(cache
+                .check_device(&device, &demands, &never())
+                .is_feasible());
         }
         assert_eq!(cache.stats(), CacheStats::default());
         assert!(cache.is_empty());
@@ -406,34 +347,34 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_generationally() {
-        let mut cache = FeasibilityCache::new(Floorplanner::default(), 2);
+        let cache = FeasibilityCache::new(Floorplanner::default(), 2);
         let device = geo_device();
         for clb in 1..=5u64 {
-            cache.check_device(&device, &[ResourceVec::new(clb * 50, 0, 0)]);
+            cache.check_device(&device, &[ResourceVec::new(clb * 50, 0, 0)], &never());
         }
         assert!(cache.len() <= 2, "bounded: {} entries", cache.len());
         assert_eq!(cache.stats().misses, 5);
     }
 
     #[test]
-    fn shared_cache_agrees_with_unshared() {
+    fn clones_share_one_map() {
         let planner = Floorplanner::default();
-        let shared = SharedFeasibilityCache::new(planner.clone(), 16);
+        let shared = FeasibilityCache::new(planner.clone(), 16);
         let device = geo_device();
         let demands = vec![ResourceVec::new(600, 10, 20), ResourceVec::new(400, 0, 0)];
-        let cold = planner.check_device(&device, &demands);
-        assert_eq!(shared.check_device(&device, &demands), cold);
-        assert_eq!(shared.check_device(&device, &demands), cold);
+        let cold = planner.check_device(&device, &demands, &never());
+        assert_eq!(shared.check_device(&device, &demands, &never()), cold);
+        assert_eq!(shared.check_device(&device, &demands, &never()), cold);
         assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 1 });
         // Clones share the same map.
         let clone = shared.clone();
-        assert_eq!(clone.check_device(&device, &demands), cold);
+        assert_eq!(clone.check_device(&device, &demands, &never()), cold);
         assert_eq!(shared.stats().hits, 2);
     }
 
     #[test]
     fn different_geometries_do_not_alias() {
-        let mut cache = FeasibilityCache::new(Floorplanner::default(), 16);
+        let cache = FeasibilityCache::new(Floorplanner::default(), 16);
         let one_row = Device {
             geometry: Some(FabricGeometry {
                 columns: vec![FabricColumn::Clb],
@@ -450,11 +391,13 @@ mod tests {
         };
         let demands = vec![ResourceVec::new(1, 0, 0), ResourceVec::new(1, 0, 0)];
         assert_eq!(
-            cache.check_device(&one_row, &demands),
+            cache.check_device(&one_row, &demands, &never()),
             FloorplanOutcome::Infeasible
         );
         assert!(
-            cache.check_device(&two_rows, &demands).is_feasible(),
+            cache
+                .check_device(&two_rows, &demands, &never())
+                .is_feasible(),
             "two rows host two 1-CLB regions"
         );
     }

@@ -31,7 +31,7 @@ pub mod rect;
 pub mod render;
 pub mod solver;
 
-pub use cache::{CacheStats, FeasibilityCache, SharedFeasibilityCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{CacheStats, FeasibilityCache, DEFAULT_CACHE_CAPACITY};
 pub use rect::Rect;
 pub use render::render_fabric;
 pub use solver::{FloorplanOutcome, Floorplanner, FloorplannerConfig};

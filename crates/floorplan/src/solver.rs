@@ -2,7 +2,9 @@
 
 use std::time::Duration;
 
-use prfpga_model::{CancelToken, Device, FabricGeometry, Platform, ResourceVec};
+use prfpga_model::{
+    Architecture, CancelToken, Device, FabricGeometry, Platform, Region, ResourceVec,
+};
 
 use crate::candidates::minimal_rects;
 use crate::rect::Rect;
@@ -14,7 +16,7 @@ pub struct FloorplannerConfig {
     /// floorplanner "to verify the existence of a solution in a small
     /// amount of time"; the same contract applies here. Enforced as an
     /// internal [`CancelToken`] deadline; callers with their own deadline
-    /// layer it on top via [`Floorplanner::solve_cancel`], and whichever
+    /// layer it on top via the token every query takes, and whichever
     /// fires first yields [`FloorplanOutcome::Timeout`].
     pub time_limit: Duration,
     /// Cap on candidate rectangles kept per region (smallest first). The
@@ -56,12 +58,12 @@ impl FloorplanOutcome {
 ///
 /// ```
 /// use prfpga_floorplan::{FloorplanOutcome, Floorplanner};
-/// use prfpga_model::{Device, ResourceVec};
+/// use prfpga_model::{CancelToken, Device, ResourceVec};
 ///
 /// let planner = Floorplanner::default();
 /// let device = Device::xc7z020();
 /// let regions = vec![ResourceVec::new(600, 10, 20), ResourceVec::new(400, 0, 0)];
-/// match planner.check_device(&device, &regions) {
+/// match planner.check_device(&device, &regions, &CancelToken::never()) {
 ///     FloorplanOutcome::Feasible(rects) => {
 ///         assert_eq!(rects.len(), 2);
 ///         assert!(!rects[0].overlaps(&rects[1]));
@@ -80,26 +82,38 @@ impl Floorplanner {
         Floorplanner { config }
     }
 
-    /// Answers the scheduler's question: do `demands` (one [`ResourceVec`]
-    /// per reconfigurable region) admit a disjoint placement on `device`?
+    /// Answers the scheduler's question for a schedule's `regions` on
+    /// `arch`: do they admit a disjoint placement? On a platform each
+    /// region places on its own fabric ([`check_platform`]); otherwise all
+    /// of them place on the lone device ([`check_device`]).
+    ///
+    /// [`check_platform`]: Self::check_platform
+    /// [`check_device`]: Self::check_device
+    pub fn check(
+        &self,
+        arch: &Architecture,
+        regions: &[Region],
+        cancel: &CancelToken,
+    ) -> FloorplanOutcome {
+        check_with(arch, regions, |device, demands| {
+            self.check_device(device, demands, cancel)
+        })
+    }
+
+    /// Do `demands` (one [`ResourceVec`] per reconfigurable region) admit
+    /// a disjoint placement on `device`?
     ///
     /// A device without geometry information never constrains placement
     /// beyond the capacity checks the scheduler already performs, so it
     /// reports `Feasible` with no witness rectangles.
-    pub fn check_device(&self, device: &Device, demands: &[ResourceVec]) -> FloorplanOutcome {
-        self.check_device_cancel(device, demands, &CancelToken::never())
-    }
-
-    /// [`check_device`](Self::check_device) honouring a caller-supplied
-    /// [`CancelToken`] in addition to the configured `time_limit`.
-    pub fn check_device_cancel(
+    pub fn check_device(
         &self,
         device: &Device,
         demands: &[ResourceVec],
         cancel: &CancelToken,
     ) -> FloorplanOutcome {
         match &device.geometry {
-            Some(geom) => self.solve_cancel(geom, demands, cancel),
+            Some(geom) => self.solve(geom, demands, cancel),
             None => FloorplanOutcome::Feasible(vec![]),
         }
     }
@@ -116,37 +130,21 @@ impl Floorplanner {
         platform: &Platform,
         demands: &[ResourceVec],
         fabric_of: &[u32],
-    ) -> FloorplanOutcome {
-        self.check_platform_cancel(platform, demands, fabric_of, &CancelToken::never())
-    }
-
-    /// [`check_platform`](Self::check_platform) honouring a caller-supplied
-    /// [`CancelToken`].
-    pub fn check_platform_cancel(
-        &self,
-        platform: &Platform,
-        demands: &[ResourceVec],
-        fabric_of: &[u32],
         cancel: &CancelToken,
     ) -> FloorplanOutcome {
         check_platform_with(platform, demands, fabric_of, |device, sub| {
-            self.check_device_cancel(device, sub, cancel)
+            self.check_device(device, sub, cancel)
         })
     }
 
     /// Exact search for a disjoint placement of `demands` on `geometry`.
-    pub fn solve(&self, geometry: &FabricGeometry, demands: &[ResourceVec]) -> FloorplanOutcome {
-        self.solve_cancel(geometry, demands, &CancelToken::never())
-    }
-
-    /// [`solve`](Self::solve) honouring a caller-supplied [`CancelToken`].
     ///
     /// The configured `time_limit` and the caller's token are unified on the
     /// same mechanism: each search node polls `cancel` (counting a poll on
     /// the caller's token) and peeks the internal per-call budget; whichever
     /// fires first terminates the search with [`FloorplanOutcome::Timeout`].
     /// The caller observes the distinction through its own token state.
-    pub fn solve_cancel(
+    pub fn solve(
         &self,
         geometry: &FabricGeometry,
         demands: &[ResourceVec],
@@ -345,8 +343,26 @@ impl Floorplanner {
     }
 }
 
+/// Device-vs-platform dispatch shared by [`Floorplanner::check`] and
+/// [`FeasibilityCache::check`](crate::FeasibilityCache::check): `check`
+/// answers one device's demand list.
+pub(crate) fn check_with(
+    arch: &Architecture,
+    regions: &[Region],
+    mut check: impl FnMut(&Device, &[ResourceVec]) -> FloorplanOutcome,
+) -> FloorplanOutcome {
+    let demands: Vec<ResourceVec> = regions.iter().map(|r| r.res).collect();
+    match &arch.platform {
+        Some(p) => {
+            let fabric_of: Vec<u32> = regions.iter().map(|r| r.fabric).collect();
+            check_platform_with(p, &demands, &fabric_of, check)
+        }
+        None => check(&arch.device, &demands),
+    }
+}
+
 /// Per-fabric combination driver shared by [`Floorplanner`] and the
-/// feasibility caches: runs `check` once per fabric over that fabric's
+/// feasibility cache: runs `check` once per fabric over that fabric's
 /// demands (kept in region order) and stitches the witness rectangles back
 /// into one rectangle per region. Any `Infeasible` fabric makes the
 /// platform infeasible; any `Timeout` propagates; witnesses are dropped
@@ -486,6 +502,10 @@ mod tests {
         )
     }
 
+    fn never() -> CancelToken {
+        CancelToken::never()
+    }
+
     fn planner() -> Floorplanner {
         Floorplanner::new(FloorplannerConfig {
             time_limit: Duration::from_secs(5),
@@ -496,14 +516,14 @@ mod tests {
     #[test]
     fn empty_demand_is_feasible() {
         assert_eq!(
-            planner().solve(&geom(), &[]),
+            planner().solve(&geom(), &[], &never()),
             FloorplanOutcome::Feasible(vec![])
         );
     }
 
     #[test]
     fn single_region_fits() {
-        let out = planner().solve(&geom(), &[ResourceVec::new(100, 10, 0)]);
+        let out = planner().solve(&geom(), &[ResourceVec::new(100, 10, 0)], &never());
         let FloorplanOutcome::Feasible(rects) = out else {
             panic!("expected feasible, got {out:?}");
         };
@@ -517,7 +537,7 @@ mod tests {
         // Two regions each needing all the BRAM of one column over both
         // rows: they must land on the two different BRAM columns.
         let demand = ResourceVec::new(0, 20, 0);
-        let out = planner().solve(&geom(), &[demand, demand]);
+        let out = planner().solve(&geom(), &[demand, demand], &never());
         let FloorplanOutcome::Feasible(rects) = out else {
             panic!("expected feasible, got {out:?}");
         };
@@ -531,7 +551,7 @@ mod tests {
     #[test]
     fn over_capacity_is_infeasible() {
         // Grid total BRAM = 2 columns x 10 x 2 rows = 40.
-        let out = planner().solve(&geom(), &[ResourceVec::new(0, 41, 0)]);
+        let out = planner().solve(&geom(), &[ResourceVec::new(0, 41, 0)], &never());
         assert_eq!(out, FloorplanOutcome::Infeasible);
     }
 
@@ -546,14 +566,14 @@ mod tests {
         // truly infeasible: four regions each demanding 11 BRAM: each needs
         // a full column (11 > 10 per row => height 2), only 2 columns.
         let demand = ResourceVec::new(0, 11, 0);
-        let out = planner().solve(&geom(), &[demand, demand, demand]);
+        let out = planner().solve(&geom(), &[demand, demand, demand], &never());
         assert_eq!(out, FloorplanOutcome::Infeasible);
     }
 
     #[test]
     fn check_device_without_geometry_is_feasible() {
         let dev = Device::tiny_test(ResourceVec::new(10, 10, 10), 1);
-        let out = planner().check_device(&dev, &[ResourceVec::new(5, 5, 5)]);
+        let out = planner().check_device(&dev, &[ResourceVec::new(5, 5, 5)], &never());
         assert_eq!(out, FloorplanOutcome::Feasible(vec![]));
     }
 
@@ -566,7 +586,7 @@ mod tests {
             ResourceVec::new(900, 16, 0),
             ResourceVec::new(200, 0, 40),
         ];
-        let out = planner().check_device(&dev, &demands);
+        let out = planner().check_device(&dev, &demands, &never());
         assert!(out.is_feasible(), "got {out:?}");
         if let FloorplanOutcome::Feasible(rects) = out {
             for i in 0..rects.len() {
@@ -582,17 +602,9 @@ mod tests {
         // A token that fires on its very first poll aborts the search as a
         // Timeout even though the internal time limit is generous.
         let cancel = CancelToken::fire_on_poll(1);
-        let out = planner().solve_cancel(&geom(), &[ResourceVec::new(100, 10, 0)], &cancel);
+        let out = planner().solve(&geom(), &[ResourceVec::new(100, 10, 0)], &cancel);
         assert_eq!(out, FloorplanOutcome::Timeout);
         assert_eq!(cancel.deadline_hits(), 1);
-    }
-
-    #[test]
-    fn never_token_matches_plain_solve() {
-        let demands = vec![ResourceVec::new(100, 10, 0), ResourceVec::new(50, 0, 20)];
-        let plain = planner().solve(&geom(), &demands);
-        let token = planner().solve_cancel(&geom(), &demands, &CancelToken::never());
-        assert_eq!(plain, token);
     }
 
     #[test]
@@ -603,7 +615,7 @@ mod tests {
             ..Default::default()
         });
         let demand = ResourceVec::new(0, 11, 0);
-        let out = p.solve(&geom(), &[demand, demand, demand]);
+        let out = p.solve(&geom(), &[demand, demand, demand], &never());
         // Either it proves infeasibility before the first clock check or it
         // times out; both are acceptable terminations, never Feasible.
         assert!(!out.is_feasible());

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use prfpga_floorplan::{
     FeasibilityCache, FloorplanOutcome, Floorplanner, FloorplannerConfig, DEFAULT_CACHE_CAPACITY,
 };
-use prfpga_model::{Device, FabricColumn, FabricGeometry, Platform, ResourceVec};
+use prfpga_model::{CancelToken, Device, FabricColumn, FabricGeometry, Platform, ResourceVec};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,7 +52,7 @@ proptest! {
     /// rectangle covers its region's demand.
     #[test]
     fn witnesses_are_sound(geom in arb_geometry(), demands in arb_demands()) {
-        if let FloorplanOutcome::Feasible(rects) = planner().solve(&geom, &demands) {
+        if let FloorplanOutcome::Feasible(rects) = planner().solve(&geom, &demands, &CancelToken::never()) {
             prop_assert_eq!(rects.len(), demands.len());
             for (i, r) in rects.iter().enumerate() {
                 prop_assert!(demands[i].fits_in(&r.resources(&geom)),
@@ -72,7 +72,7 @@ proptest! {
     fn over_capacity_is_always_infeasible(geom in arb_geometry(), demands in arb_demands()) {
         let total: ResourceVec = demands.iter().copied().sum();
         prop_assume!(!total.fits_in(&geom.total_resources()));
-        prop_assert_eq!(planner().solve(&geom, &demands), FloorplanOutcome::Infeasible);
+        prop_assert_eq!(planner().solve(&geom, &demands, &CancelToken::never()), FloorplanOutcome::Infeasible);
     }
 
     /// Monotonicity: adding a region to an infeasible set keeps it
@@ -80,8 +80,8 @@ proptest! {
     #[test]
     fn feasibility_is_monotone(geom in arb_geometry(), demands in arb_demands()) {
         prop_assume!(!demands.is_empty());
-        let full = planner().solve(&geom, &demands);
-        let fewer = planner().solve(&geom, &demands[..demands.len() - 1]);
+        let full = planner().solve(&geom, &demands, &CancelToken::never());
+        let fewer = planner().solve(&geom, &demands[..demands.len() - 1], &CancelToken::never());
         match (full, fewer) {
             (FloorplanOutcome::Feasible(_), f) => prop_assert!(f.is_feasible()),
             (FloorplanOutcome::Infeasible, FloorplanOutcome::Infeasible) => {}
@@ -107,7 +107,7 @@ proptest! {
             rec_freq: 1,
             geometry: Some(geom.clone()),
         };
-        let cold = planner().check_device(&device, &demands);
+        let cold = planner().check_device(&device, &demands, &CancelToken::never());
         // Timeouts never cache and do not occur at these sizes anyway.
         prop_assume!(!matches!(cold, FloorplanOutcome::Timeout));
 
@@ -119,9 +119,9 @@ proptest! {
                 })
         };
 
-        let mut cache = FeasibilityCache::new(planner(), DEFAULT_CACHE_CAPACITY);
+        let cache = FeasibilityCache::new(planner(), DEFAULT_CACHE_CAPACITY);
         for round in 0..2 {
-            let got = cache.check_device(&device, &demands);
+            let got = cache.check_device(&device, &demands, &CancelToken::never());
             prop_assert_eq!(got.is_feasible(), cold.is_feasible(), "round {round}");
             if let FloorplanOutcome::Feasible(rects) = &got {
                 prop_assert!(sound(rects, &demands), "round {round}: {rects:?}");
@@ -132,8 +132,8 @@ proptest! {
 
         let mut shuffled = demands.clone();
         shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-        let cold_shuffled = planner().check_device(&device, &shuffled);
-        let got = cache.check_device(&device, &shuffled);
+        let cold_shuffled = planner().check_device(&device, &shuffled, &CancelToken::never());
+        let got = cache.check_device(&device, &shuffled, &CancelToken::never());
         prop_assert_eq!(got.is_feasible(), cold_shuffled.is_feasible());
         if let FloorplanOutcome::Feasible(rects) = &got {
             prop_assert!(sound(rects, &shuffled), "shuffled witness unsound: {rects:?}");
@@ -156,12 +156,12 @@ proptest! {
             rec_freq: 1,
             geometry: Some(geom.clone()),
         };
-        let via_device = planner().check_device(&device, &demands);
+        let via_device = planner().check_device(&device, &demands, &CancelToken::never());
         prop_assume!(!matches!(via_device, FloorplanOutcome::Timeout));
 
         let platform = Platform::single(device);
         let fabric_of = vec![0u32; demands.len()];
-        let via_platform = planner().check_platform(&platform, &demands, &fabric_of);
+        let via_platform = planner().check_platform(&platform, &demands, &fabric_of, &CancelToken::never());
         prop_assert_eq!(via_platform, via_device);
     }
 
@@ -171,7 +171,7 @@ proptest! {
     fn single_region_matches_candidates(geom in arb_geometry(),
         c in 0u64..200, b in 0u64..40, d in 0u64..60) {
         let demand = ResourceVec::new(c, b, d);
-        let outcome = planner().solve(&geom, &[demand]);
+        let outcome = planner().solve(&geom, &[demand], &CancelToken::never());
         let has_candidates =
             !prfpga_floorplan::candidates::minimal_rects(&geom, &demand).is_empty();
         prop_assert_eq!(outcome.is_feasible(), has_candidates);

@@ -66,27 +66,6 @@ pub struct SchedulerConfig {
     /// already matches are preferred during regions definition. Off by
     /// default — the paper's PA does not exploit reuse (§VII-A).
     pub module_reuse: bool,
-    /// Reuse one [`SchedWorkspace`] across restarts/iterations and memoize
-    /// floorplan-feasibility verdicts. Results are byte-identical either
-    /// way; the switch exists so the fresh-allocation path stays testable
-    /// as the differential baseline.
-    ///
-    /// [`SchedWorkspace`]: crate::SchedWorkspace
-    pub workspace_reuse: bool,
-    /// Route graph queries through the frozen CSR view and the bitset
-    /// reachability closure — the 10k–100k-task fast paths (initial CPM
-    /// over packed adjacency, `O(1)` reachability probes and cycle checks).
-    /// Schedules are byte-identical either way; the switch keeps the
-    /// adjacency+DFS path testable as the differential baseline.
-    pub csr_paths: bool,
-    /// Run the pipeline through the solve/commit seam: phases A–F stay a
-    /// pure decision core and phase G's timing realization is applied as
-    /// one named-checkpoint commit on the controller timeline's journal —
-    /// the seam the online repair engine builds on. Schedules are
-    /// byte-identical either way (the journal records, it never re-times);
-    /// the switch keeps the direct-realization path testable as the
-    /// differential baseline.
-    pub solve_commit: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -102,9 +81,6 @@ impl Default for SchedulerConfig {
             max_iterations: 0,
             seed: 0xAC0_FFEE,
             module_reuse: false,
-            workspace_reuse: true,
-            csr_paths: true,
-            solve_commit: true,
         }
     }
 }

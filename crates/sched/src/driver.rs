@@ -15,7 +15,7 @@ use crate::commit;
 use crate::config::{OrderingPolicy, SchedulerConfig};
 use crate::error::SchedError;
 use crate::metrics::MetricWeights;
-use crate::phases::{impl_select, partition, reconf, regions, sw_balance, sw_map};
+use crate::phases::{impl_select, partition, regions, sw_balance, sw_map};
 use crate::state::{SchedState, SchedWorkspace};
 use crate::trace::{ObserverHandle, Phase, PhaseTrace, TraceRecorder};
 
@@ -92,11 +92,12 @@ impl PaScheduler {
     /// `max_attempts` the all-software schedule (zero virtual capacity,
     /// trivially floorplannable) is returned.
     pub fn schedule_detailed(&self, inst: &ProblemInstance) -> Result<PaResult, SchedError> {
-        self.schedule_with_cancel(inst, &CancelToken::never())
+        self.schedule_with_cancel_in(inst, &CancelToken::never(), &mut SchedWorkspace::new())
     }
 
     /// [`schedule_detailed`](Self::schedule_detailed) honouring a
-    /// cooperative [`CancelToken`].
+    /// cooperative [`CancelToken`], against a caller-owned
+    /// [`SchedWorkspace`].
     ///
     /// The restart loop polls `cancel` before each pipeline run, between the
     /// pipeline and the floorplanner, and after a non-feasible verdict; the
@@ -106,17 +107,6 @@ impl PaScheduler {
     /// feasible schedule flagged [`PaResult::degraded`] instead of erroring.
     /// With a never-firing token the result is byte-identical to
     /// [`schedule_detailed`](Self::schedule_detailed).
-    pub fn schedule_with_cancel(
-        &self,
-        inst: &ProblemInstance,
-        cancel: &CancelToken,
-    ) -> Result<PaResult, SchedError> {
-        let mut ws = SchedWorkspace::new();
-        self.schedule_with_cancel_in(inst, cancel, &mut ws)
-    }
-
-    /// [`schedule_with_cancel`](Self::schedule_with_cancel) against a
-    /// caller-owned [`SchedWorkspace`].
     ///
     /// Every exit — feasible, degraded, or cancelled — leaves `ws` rewound
     /// and reusable: a subsequent un-cancelled run through the same
@@ -131,13 +121,11 @@ impl PaScheduler {
         inst.validate()
             .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
 
-        let real_device = &inst.architecture.device;
-        let real_platform = inst.architecture.platform.as_ref();
-        // One owned device, ratcheted down in place — the restart loop no
-        // longer clones name/geometry per attempt. On platform instances a
+        // One owned device, ratcheted down in place — the restart loop does
+        // not clone name/geometry per attempt. On platform instances a
         // virtual platform shadows it in lockstep, so the per-fabric
         // capacity checks shrink together with the relaxation device.
-        let mut virtual_device = real_device.clone();
+        let mut virtual_device = inst.architecture.device.clone();
         let mut virtual_platform = inst.architecture.platform.clone();
         let mut scheduling_time = Duration::ZERO;
         let mut floorplanning_time = Duration::ZERO;
@@ -148,41 +136,25 @@ impl PaScheduler {
         // call's share of the counters.
         let polls0 = cancel.polls();
         let hits0 = cancel.deadline_hits();
-        // Per-call reuse machinery, both gated on `workspace_reuse` so the
-        // fresh-allocation path stays available as a differential baseline.
-        let mut cache = self
-            .config
-            .workspace_reuse
-            .then(|| FeasibilityCache::new(self.planner.clone(), DEFAULT_CACHE_CAPACITY));
+        let cache = FeasibilityCache::new(self.planner.clone(), DEFAULT_CACHE_CAPACITY);
 
+        // No phase-A memo here: the restart loop shrinks the capacity on
+        // every retry, so no two attempts share a phase-A input.
         let run_pipeline =
             |ws: &mut SchedWorkspace, device: &Device, platform: Option<&Platform>| {
-                if self.config.workspace_reuse {
-                    // No memo here: the restart loop shrinks the capacity on
-                    // every retry, so no two attempts share a phase-A input.
-                    do_schedule_in(
-                        ws,
-                        inst,
-                        device,
-                        platform,
-                        &self.config,
-                        self.config.ordering,
-                        &observer,
-                        None,
-                    )
-                } else {
-                    do_schedule_traced(
-                        inst,
-                        device,
-                        platform,
-                        &self.config,
-                        self.config.ordering,
-                        &observer,
-                    )
-                }
+                do_schedule_in(
+                    ws,
+                    inst,
+                    device,
+                    platform,
+                    &self.config,
+                    self.config.ordering,
+                    &observer,
+                    None,
+                )
             };
-        let report_stats = |ws: &SchedWorkspace, cache: &Option<FeasibilityCache>| {
-            let stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let report_stats = |ws: &SchedWorkspace| {
+            let stats = cache.stats();
             observer.workspace_stats(ws.reuses(), stats.hits, stats.misses);
             observer.cancel_stats(cancel.polls() - polls0, cancel.deadline_hits() - hits0);
         };
@@ -210,31 +182,19 @@ impl PaScheduler {
                     degraded = true;
                     break 'search;
                 }
-                let demands: Vec<ResourceVec> = schedule.regions.iter().map(|r| r.res).collect();
-                let fabrics: Vec<u32> = schedule.regions.iter().map(|r| r.fabric).collect();
                 let t1 = Instant::now();
                 // Memoized feasibility: within one call only Infeasible
                 // verdicts can repeat (a Feasible one would have ended the
                 // loop), so any Feasible witness returned below comes from a
-                // cold solve — byte-identical to the uncached path. Platform
-                // instances place each fabric's regions against that
-                // fabric's own device.
-                let outcome = match (cache.as_mut(), real_platform) {
-                    (Some(c), Some(p)) => c.check_platform_cancel(p, &demands, &fabrics, cancel),
-                    (Some(c), None) => c.check_device_cancel(real_device, &demands, cancel),
-                    (None, Some(p)) => self
-                        .planner
-                        .check_platform_cancel(p, &demands, &fabrics, cancel),
-                    (None, None) => self
-                        .planner
-                        .check_device_cancel(real_device, &demands, cancel),
-                };
+                // cold solve. Platform instances place each fabric's regions
+                // against that fabric's own device.
+                let outcome = cache.check(&inst.architecture, &schedule.regions, cancel);
                 let fp_elapsed = t1.elapsed();
                 floorplanning_time += fp_elapsed;
                 observer.phase_finished(Phase::Floorplan, fp_elapsed);
 
                 if let FloorplanOutcome::Feasible(rects) = outcome {
-                    report_stats(ws, &cache);
+                    report_stats(ws);
                     return Ok(PaResult {
                         schedule,
                         scheduling_time,
@@ -274,7 +234,7 @@ impl PaScheduler {
         let schedule = run_pipeline(ws, &virtual_device, virtual_platform.as_ref());
         scheduling_time += t0.elapsed();
         debug_assert!(schedule.regions.is_empty());
-        report_stats(ws, &cache);
+        report_stats(ws);
         Ok(PaResult {
             schedule,
             scheduling_time,
@@ -289,59 +249,14 @@ impl PaScheduler {
 
 /// One run of the scheduling pipeline (phases A–G) against a virtual
 /// device capacity; shared by PA and PA-R (`doSchedule` in Algorithm 1).
-/// Untraced: phase events go to the no-op observer.
-pub(crate) fn do_schedule(
-    inst: &ProblemInstance,
-    virtual_device: &Device,
-    virtual_platform: Option<&Platform>,
-    config: &SchedulerConfig,
-    ordering: OrderingPolicy,
-) -> Schedule {
-    do_schedule_traced(
-        inst,
-        virtual_device,
-        virtual_platform,
-        config,
-        ordering,
-        &ObserverHandle::noop(),
-    )
-}
-
-/// [`do_schedule`] with phase events reported to `observer`. Runs against
-/// a throwaway workspace, so every buffer is freshly allocated — the
-/// differential baseline for [`do_schedule_in`].
-pub(crate) fn do_schedule_traced(
-    inst: &ProblemInstance,
-    virtual_device: &Device,
-    virtual_platform: Option<&Platform>,
-    config: &SchedulerConfig,
-    ordering: OrderingPolicy,
-    observer: &ObserverHandle,
-) -> Schedule {
-    let mut ws = SchedWorkspace::new();
-    do_schedule_in(
-        &mut ws,
-        inst,
-        virtual_device,
-        virtual_platform,
-        config,
-        ordering,
-        observer,
-        None,
-    )
-}
-
-/// The scheduling pipeline against caller-owned buffers: `ws` supplies
-/// every heap structure of the run and receives them back afterwards, so
-/// a loop threading one workspace through repeated calls is
-/// allocation-free in the steady state. Byte-identical to
-/// [`do_schedule_traced`] by construction.
+/// `ws` supplies every heap structure of the run and receives them back
+/// afterwards, so a loop threading one workspace through repeated calls is
+/// allocation-free in the steady state.
 ///
 /// Structured as solve-then-commit: [`solve_in`] runs the pure decision
 /// core (phases A–F, no timeline reservations), then phase G's timing
-/// realization is applied — as one journaled batch commit behind
-/// [`SchedulerConfig::solve_commit`], directly otherwise. Identical
-/// schedules either way; the seam exists for the online repair engine.
+/// realization is applied as one journaled batch commit — the seam the
+/// online repair engine builds on.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn do_schedule_in(
     ws: &mut SchedWorkspace,
@@ -366,11 +281,7 @@ pub(crate) fn do_schedule_in(
 
     // Phase G — reconfiguration scheduling / timing realization: the only
     // point where decisions become timeline reservations (the commit).
-    let schedule = if config.solve_commit {
-        commit::commit_batch(&state, config.module_reuse, &mut ws.reconf_timeline)
-    } else {
-        reconf::realize_schedule_in(&state, config.module_reuse, &mut ws.reconf_timeline)
-    };
+    let schedule = commit::commit_batch(&state, config.module_reuse, &mut ws.reconf_timeline);
     state.recycle(ws);
     schedule
 }
@@ -427,24 +338,12 @@ pub(crate) fn solve_in<'a>(
 
     // Phase B — critical path extraction (CPM inside the state).
     let t0 = Instant::now();
-    let mut state = SchedState::from_workspace_with(
-        inst,
-        virtual_device,
-        weights,
-        choice,
-        ws,
-        config.csr_paths,
-    )
-    .expect("instance validated by the driver");
+    let mut state = SchedState::from_workspace(inst, virtual_device, weights, choice, ws)
+        .expect("instance validated by the driver");
     observer.phase_finished(Phase::CriticalPath, t0.elapsed());
     state.module_reuse = config.module_reuse;
     state.platform = virtual_platform;
     state.observer = observer.clone();
-    // The workspace-reuse fast path also maintains CPM incrementally per
-    // mutation instead of recomputing from scratch; identical windows
-    // either way, so `workspace_reuse: false` stays a faithful
-    // fresh-allocation oracle for the differential tests.
-    state.incremental = config.workspace_reuse;
 
     // Fabric partition — assigns tasks to platform fabrics ahead of region
     // formation (no-op, and untraced, without a platform).
@@ -654,19 +553,6 @@ mod tests {
             (r.attempts - 1) as u64,
             "every run after the first rewinds the workspace"
         );
-
-        // The fresh-allocation baseline must agree byte-for-byte and
-        // report no reuse.
-        let fresh = PaScheduler::new(SchedulerConfig {
-            workspace_reuse: false,
-            ..Default::default()
-        })
-        .schedule_detailed(&inst)
-        .unwrap();
-        assert_eq!(fresh.schedule, r.schedule);
-        assert_eq!(fresh.attempts, r.attempts);
-        assert_eq!(fresh.trace.fp_cache_hits, 0);
-        assert_eq!(fresh.trace.workspace_reuses, 0);
     }
 
     #[test]

@@ -41,32 +41,20 @@ struct PlannedRec {
     critical: bool,
 }
 
-/// Runs the timing realization and assembles the final [`Schedule`],
-/// allocating a throwaway controller timeline. Scheduler loops call
-/// [`realize_schedule_in`] with the workspace's recycled timeline instead.
+/// Runs the timing realization and assembles the final [`Schedule`] on a
+/// throwaway controller timeline, through the same batch commit
+/// ([`crate::commit`]) the schedulers use with their recycled timeline.
 ///
 /// With `module_reuse` enabled (the paper's future-work extension),
 /// consecutive tasks of a region that share an implementation need no
 /// reconfiguration between them.
 pub fn realize_schedule(state: &SchedState<'_>, module_reuse: bool) -> Schedule {
-    realize_schedule_in(state, module_reuse, &mut Timeline::new())
-}
-
-/// [`realize_schedule`] with a caller-provided controller timeline (reset
-/// here), so repeated runs recycle the lane buffers.
-pub fn realize_schedule_in(
-    state: &SchedState<'_>,
-    module_reuse: bool,
-    icap: &mut Timeline,
-) -> Schedule {
-    icap.reset(0, 0, state.controller_lanes());
-    realize_schedule_prepared(state, module_reuse, icap)
+    crate::commit::commit_batch(state, module_reuse, &mut Timeline::new())
 }
 
 /// The timing-realization pass against an already-reset controller
-/// timeline. The commit layer calls this directly so it can open a named
-/// journal checkpoint between the reset and the first reservation;
-/// [`realize_schedule_in`] is the reset-then-realize convenience wrapper.
+/// timeline. The commit layer calls this after opening a named journal
+/// checkpoint between the reset and the first reservation.
 pub(crate) fn realize_schedule_prepared(
     state: &SchedState<'_>,
     module_reuse: bool,

@@ -7,7 +7,7 @@
 //! writes `min`, which would make every delay non-positive and contradicts
 //! steps 3–4 of the same section). A sequencing arc from the core's last
 //! task pins the order, and the induced delay is propagated through the
-//! dependency graph by the CPM recomputation.
+//! dependency graph by the incremental CPM update.
 
 use std::time::Instant;
 
@@ -88,12 +88,8 @@ pub fn map_software_tasks(state: &mut SchedState<'_>) {
         }
         core_tasks[best_core].push(t);
         state.core_of[t.index()] = Some(best_core);
-        if state.incremental {
-            if let Some(last) = arc_added {
-                state.cpm_apply_arc(last, t);
-            }
-        } else {
-            state.recompute_windows();
+        if let Some(last) = arc_added {
+            state.cpm_apply_arc(last, t);
         }
         if cached_free {
             // Commit the (now final) occupancy on the core's lane; the arc

@@ -16,13 +16,12 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use prfpga_floorplan::{
-    CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, SharedFeasibilityCache,
-    DEFAULT_CACHE_CAPACITY,
+    CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, DEFAULT_CACHE_CAPACITY,
 };
-use prfpga_model::{CancelToken, ProblemInstance, ResourceVec, Schedule, Time};
+use prfpga_model::{CancelToken, Device, Platform, ProblemInstance, Schedule, Time};
 
 use crate::config::{OrderingPolicy, SchedulerConfig};
-use crate::driver::{do_schedule, do_schedule_in, ImplSelectMemo, PaScheduler};
+use crate::driver::{do_schedule_in, ImplSelectMemo, PaScheduler};
 use crate::error::SchedError;
 use crate::state::SchedWorkspace;
 use crate::trace::ObserverHandle;
@@ -49,11 +48,10 @@ pub struct PaRResult {
     pub trace: Vec<ConvergencePoint>,
     /// Wall-clock of the whole search.
     pub elapsed: Duration,
-    /// Iterations that rewound the warm workspace instead of re-allocating
-    /// (0 when `workspace_reuse` is off).
+    /// Iterations that rewound the warm workspace instead of re-allocating.
     pub workspace_reuses: u64,
-    /// Floorplan-feasibility cache counters (all-zero when
-    /// `workspace_reuse` is off or the device carries no geometry).
+    /// Floorplan-feasibility cache counters (all-zero when the device
+    /// carries no geometry).
     pub fp_cache: CacheStats,
     /// True when the run's [`CancelToken`] fired mid-search: the returned
     /// schedule is the incumbent at cancellation time (or the degraded PA
@@ -100,11 +98,12 @@ impl PaRScheduler {
 
     /// Runs the randomized search (Algorithm 1) with full diagnostics.
     pub fn schedule_detailed(&self, inst: &ProblemInstance) -> Result<PaRResult, SchedError> {
-        self.schedule_with_cancel(inst, &CancelToken::never())
+        self.schedule_with_cancel_in(inst, &CancelToken::never(), &mut SchedWorkspace::new())
     }
 
     /// [`schedule_detailed`](Self::schedule_detailed) honouring a
-    /// cooperative [`CancelToken`].
+    /// cooperative [`CancelToken`], against a caller-owned
+    /// [`SchedWorkspace`]; every exit leaves `ws` rewound and reusable.
     ///
     /// PA-R is *anytime*: the search polls `cancel` once per iteration and
     /// around every floorplan check; when the token fires it returns the
@@ -113,18 +112,6 @@ impl PaRScheduler {
     /// the deterministic PA's degraded fallback. With a never-firing token
     /// the result is byte-identical to
     /// [`schedule_detailed`](Self::schedule_detailed).
-    pub fn schedule_with_cancel(
-        &self,
-        inst: &ProblemInstance,
-        cancel: &CancelToken,
-    ) -> Result<PaRResult, SchedError> {
-        let mut ws = SchedWorkspace::new();
-        self.schedule_with_cancel_in(inst, cancel, &mut ws)
-    }
-
-    /// [`schedule_with_cancel`](Self::schedule_with_cancel) against a
-    /// caller-owned [`SchedWorkspace`]; every exit leaves `ws` rewound and
-    /// reusable.
     pub fn schedule_with_cancel_in(
         &self,
         inst: &ProblemInstance,
@@ -136,28 +123,19 @@ impl PaRScheduler {
 
         let polls0 = cancel.polls();
         let hits0 = cancel.deadline_hits();
-        let planner = Floorplanner::new(self.config.floorplan.clone());
-        // Virtual capacity ratchet: Algorithm 1 discards floorplan-
-        // infeasible candidates outright, but a pipeline run that packs the
-        // fabric to 100% is *systematically* unplaceable on a column grid,
-        // so repeating it at the same capacity would starve the search.
-        // Whenever an improving candidate fails the floorplan, subsequent
-        // iterations schedule against a shrunken virtual capacity — the
-        // same lever the deterministic PA's restart loop uses (§V-H).
-        let mut virtual_device = inst.architecture.device.clone();
-        let mut virtual_platform = inst.architecture.platform.clone();
-        let mut shrinks_left = self.config.max_attempts.max(1);
+        let mut target = VirtualTarget::new(inst, &self.config);
         let start = Instant::now();
         let deadline = start + self.config.time_budget;
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
 
         // One workspace and one feasibility cache persist across every
-        // iteration (gated on `workspace_reuse`; verdicts are exact, so
-        // the search trajectory is byte-identical either way).
-        let reuse = self.config.workspace_reuse;
+        // iteration; verdicts are exact, so memoizing them cannot change
+        // the search trajectory.
         let mut memo = ImplSelectMemo::default();
-        let mut cache = FeasibilityCache::new(planner.clone(), DEFAULT_CACHE_CAPACITY);
-        let noop = ObserverHandle::noop();
+        let cache = FeasibilityCache::new(
+            Floorplanner::new(self.config.floorplan.clone()),
+            DEFAULT_CACHE_CAPACITY,
+        );
 
         let mut best: Option<Schedule> = None;
         let mut best_makespan = Time::MAX;
@@ -179,45 +157,11 @@ impl PaRScheduler {
                 break;
             }
             iterations += 1;
-            let order_seed: u64 = rng.random();
-            let ordering = OrderingPolicy::RandomizedNonCritical(order_seed);
-            let schedule = if reuse {
-                do_schedule_in(
-                    ws,
-                    inst,
-                    &virtual_device,
-                    virtual_platform.as_ref(),
-                    &self.config,
-                    ordering,
-                    &noop,
-                    Some(&mut memo),
-                )
-            } else {
-                do_schedule(
-                    inst,
-                    &virtual_device,
-                    virtual_platform.as_ref(),
-                    &self.config,
-                    ordering,
-                )
-            };
+            let schedule = target.run(ws, inst, &self.config, rng.random(), &mut memo);
             let makespan = schedule.makespan();
             if makespan < best_makespan {
                 // Pay for the floorplanner only on improvement (Algorithm 1).
-                let demands: Vec<ResourceVec> = schedule.regions.iter().map(|r| r.res).collect();
-                let fabrics: Vec<u32> = schedule.regions.iter().map(|r| r.fabric).collect();
-                let outcome = match (reuse, inst.architecture.platform.as_ref()) {
-                    (true, Some(p)) => cache.check_platform_cancel(p, &demands, &fabrics, cancel),
-                    (true, None) => {
-                        cache.check_device_cancel(&inst.architecture.device, &demands, cancel)
-                    }
-                    (false, Some(p)) => {
-                        planner.check_platform_cancel(p, &demands, &fabrics, cancel)
-                    }
-                    (false, None) => {
-                        planner.check_device_cancel(&inst.architecture.device, &demands, cancel)
-                    }
-                };
+                let outcome = cache.check(&inst.architecture, &schedule.regions, cancel);
                 if let FloorplanOutcome::Feasible(_) = outcome {
                     best_makespan = makespan;
                     best = Some(schedule);
@@ -234,36 +178,15 @@ impl PaRScheduler {
                         cancelled = true;
                         break;
                     }
-                    if shrinks_left > 0 {
-                        let (num, den) = self.config.shrink_factor;
-                        virtual_device.scale_capacity_in_place(num, den);
-                        if let Some(p) = virtual_platform.as_mut() {
-                            p.scale_capacity_in_place(num, den);
-                        }
-                        shrinks_left -= 1;
-                    }
+                    target.shrink(self.config.shrink_factor);
                 }
             }
         }
 
         let workspace_reuses = ws.reuses();
         let fp_cache = cache.stats();
-        let counters = |c: &CancelToken| (c.polls() - polls0, c.deadline_hits() - hits0);
-        match best {
-            Some(schedule) => {
-                let (cancel_polls, deadline_hits) = counters(cancel);
-                Ok(PaRResult {
-                    schedule,
-                    iterations,
-                    trace,
-                    elapsed: start.elapsed(),
-                    workspace_reuses,
-                    fp_cache,
-                    degraded: cancelled,
-                    cancel_polls,
-                    deadline_hits,
-                })
-            }
+        let (schedule, degraded) = match best {
+            Some(schedule) => (schedule, cancelled),
             // Every random candidate was floorplan-infeasible (or the token
             // fired before one could be checked): fall back to the
             // deterministic PA, whose shrinking loop always terminates with
@@ -271,22 +194,22 @@ impl PaRScheduler {
             // schedule. The token is passed through, so a fired deadline
             // short-circuits the fallback to PA's bounded degraded path.
             None => {
-                let pa =
-                    PaScheduler::new(self.config.clone()).schedule_with_cancel(inst, cancel)?;
-                let (cancel_polls, deadline_hits) = counters(cancel);
-                Ok(PaRResult {
-                    schedule: pa.schedule,
-                    iterations,
-                    trace,
-                    elapsed: start.elapsed(),
-                    workspace_reuses,
-                    fp_cache,
-                    degraded: cancelled || pa.degraded,
-                    cancel_polls,
-                    deadline_hits,
-                })
+                let pa = PaScheduler::new(self.config.clone())
+                    .schedule_with_cancel_in(inst, cancel, ws)?;
+                (pa.schedule, cancelled || pa.degraded)
             }
-        }
+        };
+        Ok(PaRResult {
+            schedule,
+            iterations,
+            trace,
+            elapsed: start.elapsed(),
+            workspace_reuses,
+            fp_cache,
+            degraded,
+            cancel_polls: cancel.polls() - polls0,
+            deadline_hits: cancel.deadline_hits() - hits0,
+        })
     }
 
     /// Parallel PA-R: `threads` workers explore disjoint seed streams and
@@ -295,21 +218,13 @@ impl PaRScheduler {
     /// cap is used (each worker owns an equal slice of the iteration
     /// budget); under a pure wall-clock budget the outcome depends on
     /// timing, as in any anytime search.
+    ///
+    /// `cancel` is shared by all workers: each polls it once per iteration
+    /// (poll counts aggregate across workers) and stops as soon as it
+    /// fires. The incumbent at cancellation time is returned; with none,
+    /// the deterministic PA's (possibly degraded) fallback runs under the
+    /// same token.
     pub fn schedule_parallel(
-        &self,
-        inst: &ProblemInstance,
-        threads: usize,
-    ) -> Result<Schedule, SchedError> {
-        self.schedule_parallel_with_cancel(inst, threads, &CancelToken::never())
-    }
-
-    /// [`schedule_parallel`](Self::schedule_parallel) honouring a
-    /// cooperative [`CancelToken`] shared by all workers: each worker polls
-    /// it once per iteration (poll counts aggregate across workers) and
-    /// stops as soon as it fires. The incumbent at cancellation time is
-    /// returned; with none, the deterministic PA's (possibly degraded)
-    /// fallback runs under the same token.
-    pub fn schedule_parallel_with_cancel(
         &self,
         inst: &ProblemInstance,
         threads: usize,
@@ -317,7 +232,9 @@ impl PaRScheduler {
     ) -> Result<Schedule, SchedError> {
         let threads = threads.max(1);
         if threads == 1 {
-            return self.schedule_with_cancel(inst, cancel).map(|r| r.schedule);
+            return self
+                .schedule_with_cancel_in(inst, cancel, &mut SchedWorkspace::new())
+                .map(|r| r.schedule);
         }
         inst.validate()
             .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
@@ -332,8 +249,7 @@ impl PaRScheduler {
         // All workers share one feasibility cache (solves happen outside
         // its lock); each owns a private workspace. Verdicts are exact, so
         // sharing cannot perturb any worker's search trajectory.
-        let reuse = self.config.workspace_reuse;
-        let shared_cache = SharedFeasibilityCache::new(
+        let shared_cache = FeasibilityCache::new(
             Floorplanner::new(self.config.floorplan.clone()),
             DEFAULT_CACHE_CAPACITY,
         );
@@ -343,18 +259,13 @@ impl PaRScheduler {
                 let best = &best;
                 let config = &self.config;
                 let cache = shared_cache.clone();
-                let planner = Floorplanner::new(self.config.floorplan.clone());
-                let inst = &*inst;
                 scope.spawn(move |_| {
                     let mut rng =
                         ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(w as u64 * 0x9E37));
-                    // Per-worker capacity ratchet (see schedule_detailed).
-                    let mut virtual_device = inst.architecture.device.clone();
-                    let mut virtual_platform = inst.architecture.platform.clone();
-                    let mut shrinks_left = config.max_attempts.max(1);
+                    // Per-worker capacity ratchet.
+                    let mut target = VirtualTarget::new(inst, config);
                     let mut ws = SchedWorkspace::new();
                     let mut memo = ImplSelectMemo::default();
-                    let noop = ObserverHandle::noop();
                     let mut iters = 0usize;
                     loop {
                         if per_worker_iters > 0 && iters >= per_worker_iters {
@@ -367,64 +278,18 @@ impl PaRScheduler {
                             break;
                         }
                         iters += 1;
-                        let order_seed: u64 = rng.random();
-                        let ordering = OrderingPolicy::RandomizedNonCritical(order_seed);
-                        let schedule = if reuse {
-                            do_schedule_in(
-                                &mut ws,
-                                inst,
-                                &virtual_device,
-                                virtual_platform.as_ref(),
-                                config,
-                                ordering,
-                                &noop,
-                                Some(&mut memo),
-                            )
-                        } else {
-                            do_schedule(
-                                inst,
-                                &virtual_device,
-                                virtual_platform.as_ref(),
-                                config,
-                                ordering,
-                            )
-                        };
+                        let schedule = target.run(&mut ws, inst, config, rng.random(), &mut memo);
                         let makespan = schedule.makespan();
                         if makespan < best.lock().0 {
-                            let demands: Vec<ResourceVec> =
-                                schedule.regions.iter().map(|r| r.res).collect();
-                            let fabrics: Vec<u32> =
-                                schedule.regions.iter().map(|r| r.fabric).collect();
-                            let outcome = match (reuse, inst.architecture.platform.as_ref()) {
-                                (true, Some(p)) => {
-                                    cache.check_platform_cancel(p, &demands, &fabrics, cancel)
-                                }
-                                (true, None) => cache.check_device_cancel(
-                                    &inst.architecture.device,
-                                    &demands,
-                                    cancel,
-                                ),
-                                (false, Some(p)) => {
-                                    planner.check_platform_cancel(p, &demands, &fabrics, cancel)
-                                }
-                                (false, None) => planner.check_device_cancel(
-                                    &inst.architecture.device,
-                                    &demands,
-                                    cancel,
-                                ),
-                            };
+                            let outcome =
+                                cache.check(&inst.architecture, &schedule.regions, cancel);
                             if let FloorplanOutcome::Feasible(_) = outcome {
                                 let mut guard = best.lock();
                                 if makespan < guard.0 {
                                     *guard = (makespan, Some(schedule));
                                 }
-                            } else if shrinks_left > 0 {
-                                let (num, den) = config.shrink_factor;
-                                virtual_device.scale_capacity_in_place(num, den);
-                                if let Some(p) = virtual_platform.as_mut() {
-                                    p.scale_capacity_in_place(num, den);
-                                }
-                                shrinks_left -= 1;
+                            } else {
+                                target.shrink(config.shrink_factor);
                             }
                         }
                     }
@@ -437,8 +302,65 @@ impl PaRScheduler {
         match found {
             Some(s) => Ok(s),
             None => PaScheduler::new(self.config.clone())
-                .schedule_with_cancel(inst, cancel)
+                .schedule_with_cancel_in(inst, cancel, &mut SchedWorkspace::new())
                 .map(|r| r.schedule),
+        }
+    }
+}
+
+/// PA-R's virtual capacity ratchet. Algorithm 1 discards floorplan-
+/// infeasible candidates outright, but a pipeline run that packs the
+/// fabric to 100% is *systematically* unplaceable on a column grid, so
+/// repeating it at the same capacity would starve the search. Whenever an
+/// improving candidate fails the floorplan, subsequent iterations schedule
+/// against a shrunken virtual capacity — the same lever the deterministic
+/// PA's restart loop uses (§V-H). On platform instances the virtual
+/// platform shrinks in lockstep with the relaxation device.
+struct VirtualTarget {
+    device: Device,
+    platform: Option<Platform>,
+    shrinks_left: usize,
+}
+
+impl VirtualTarget {
+    fn new(inst: &ProblemInstance, config: &SchedulerConfig) -> Self {
+        VirtualTarget {
+            device: inst.architecture.device.clone(),
+            platform: inst.architecture.platform.clone(),
+            shrinks_left: config.max_attempts.max(1),
+        }
+    }
+
+    /// One pipeline run at the current virtual capacity, with the
+    /// non-critical hardware tasks ordered by `order_seed`.
+    fn run(
+        &self,
+        ws: &mut SchedWorkspace,
+        inst: &ProblemInstance,
+        config: &SchedulerConfig,
+        order_seed: u64,
+        memo: &mut ImplSelectMemo,
+    ) -> Schedule {
+        do_schedule_in(
+            ws,
+            inst,
+            &self.device,
+            self.platform.as_ref(),
+            config,
+            OrderingPolicy::RandomizedNonCritical(order_seed),
+            &ObserverHandle::noop(),
+            Some(memo),
+        )
+    }
+
+    /// Shrinks the virtual capacity by `(num, den)` while shrinks remain.
+    fn shrink(&mut self, (num, den): (u64, u64)) {
+        if self.shrinks_left > 0 {
+            self.device.scale_capacity_in_place(num, den);
+            if let Some(p) = self.platform.as_mut() {
+                p.scale_capacity_in_place(num, den);
+            }
+            self.shrinks_left -= 1;
         }
     }
 }
@@ -519,7 +441,9 @@ mod tests {
     fn parallel_variant_returns_valid_schedules() {
         let inst = instance(20, 23);
         let par = PaRScheduler::new(config_iters(8));
-        let s = par.schedule_parallel(&inst, 4).unwrap();
+        let s = par
+            .schedule_parallel(&inst, 4, &CancelToken::never())
+            .unwrap();
         validate_schedule(&inst, &s).expect("valid");
     }
 
@@ -542,28 +466,6 @@ mod tests {
         assert!(r.fp_cache.hits + r.fp_cache.misses > 0);
         assert!(r.elapsed > Duration::ZERO);
         assert!(r.iterations_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn workspace_reuse_off_is_byte_identical() {
-        let inst = instance(25, 37);
-        let on = PaRScheduler::new(config_iters(8))
-            .schedule_detailed(&inst)
-            .unwrap();
-        let off = PaRScheduler::new(SchedulerConfig {
-            workspace_reuse: false,
-            ..config_iters(8)
-        })
-        .schedule_detailed(&inst)
-        .unwrap();
-        assert_eq!(on.schedule, off.schedule);
-        assert_eq!(on.iterations, off.iterations);
-        let points = |r: &PaRResult| -> Vec<(usize, Time)> {
-            r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
-        };
-        assert_eq!(points(&on), points(&off), "same convergence trajectory");
-        assert_eq!(off.workspace_reuses, 0);
-        assert_eq!(off.fp_cache, CacheStats::default());
     }
 
     #[test]

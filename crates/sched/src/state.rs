@@ -181,8 +181,9 @@ pub struct SchedState<'a> {
     pub impl_choice: Vec<ImplId>,
     /// Execution time of the chosen implementation per task.
     pub durations: Vec<Time>,
-    /// Current CPM analysis (windows + critical set); kept in sync by
-    /// [`SchedState::recompute_windows`].
+    /// Current CPM analysis (windows + critical set); every mutation keeps
+    /// it in sync through [`CpmAnalysis::apply_arc`] /
+    /// [`CpmAnalysis::apply_duration`].
     pub cpm: CpmAnalysis,
     /// Regions defined so far.
     pub regions: Vec<RegionBuild>,
@@ -197,25 +198,11 @@ pub struct SchedState<'a> {
     /// the caller installs a recorder (like `module_reuse`, injected after
     /// construction so direct phase callers are unaffected).
     pub observer: ObserverHandle,
-    /// When set, window updates after duration/arc mutations use the
-    /// incremental CPM maintenance of [`CpmAnalysis::apply_arc`] /
-    /// [`CpmAnalysis::apply_duration`] instead of a full recompute.
-    /// Byte-identical results (the window equations have a unique fixed
-    /// point); enabled by the schedulers' workspace-reuse fast path and
-    /// off by default so direct phase callers exercise the plain path.
-    pub incremental: bool,
-    /// When set, reachability probes go through the bitset closure and
-    /// sequencing-arc insertions through [`ReachIndex::add_edge`] (as long
-    /// as the closure is current — [`SchedState::reachable`] degrades to
-    /// DFS otherwise). Enabled by the schedulers' CSR fast path
-    /// ([`crate::SchedulerConfig::csr_paths`]); off by default so direct
-    /// phase callers exercise the plain adjacency+DFS path.
-    pub fast_graph: bool,
     /// Core-lane reservation kernel: phase F commits every mapped software
     /// task's occupancy here, making per-core drain queries O(1) via
     /// [`Timeline::free_from`] instead of rescanning assigned tasks.
     pub timeline: Timeline,
-    /// Warm CPM buffers for [`SchedState::recompute_windows`].
+    /// Warm CPM buffers for the incremental window updates.
     cpm_scratch: CpmScratch,
     /// Recycled region task lists, fed by the workspace.
     region_pool: Vec<Vec<TaskId>>,
@@ -239,9 +226,11 @@ impl<'a> SchedState<'a> {
 
     /// Builds the state out of `ws`'s buffers: the DAG rewinds to the
     /// cached base graph (or is rebuilt on first use / instance change),
-    /// CPM recomputes in place, and every table is cleared, not
-    /// re-allocated. The buffers return to `ws` via
-    /// [`SchedState::recycle`].
+    /// the initial CPM pass runs over the workspace's frozen [`CsrView`]
+    /// of the base graph, the bitset reachability closure is synchronized
+    /// so in-run probes and sequencing-arc insertions are `O(1)` bit tests,
+    /// and every table is cleared, not re-allocated. The buffers return to
+    /// `ws` via [`SchedState::recycle`].
     pub fn from_workspace(
         inst: &'a ProblemInstance,
         device: &'a Device,
@@ -249,38 +238,18 @@ impl<'a> SchedState<'a> {
         impl_choice: Vec<ImplId>,
         ws: &mut SchedWorkspace,
     ) -> Result<Self, SchedError> {
-        Self::from_workspace_with(inst, device, weights, impl_choice, ws, false)
-    }
-
-    /// [`SchedState::from_workspace`] with the CSR/bitset fast graph paths
-    /// switchable: when `fast_graph` is set, the initial CPM pass runs over
-    /// the workspace's frozen [`CsrView`] of the base graph and the bitset
-    /// reachability closure is synchronized so in-run probes and
-    /// sequencing-arc insertions are `O(1)` bit tests instead of DFS.
-    /// Results are byte-identical either way — the CSR view preserves
-    /// adjacency order and the closure answers exactly like the DFS.
-    pub fn from_workspace_with(
-        inst: &'a ProblemInstance,
-        device: &'a Device,
-        weights: MetricWeights,
-        impl_choice: Vec<ImplId>,
-        ws: &mut SchedWorkspace,
-        fast_graph: bool,
-    ) -> Result<Self, SchedError> {
         let n = inst.graph.len();
         assert_eq!(impl_choice.len(), n);
         let reused = ws.reset_graph(inst)?;
         let dag = mem::take(&mut ws.dag);
 
-        if fast_graph {
-            if reused && ws.csr_is_base {
-                // The rollback restored exactly the base content the view
-                // snapshotted; revalidation is a version stamp.
-                ws.csr.assume_current(&dag);
-            } else {
-                ws.csr.build(&dag);
-                ws.csr_is_base = true;
-            }
+        if reused && ws.csr_is_base {
+            // The rollback restored exactly the base content the view
+            // snapshotted; revalidation is a version stamp.
+            ws.csr.assume_current(&dag);
+        } else {
+            ws.csr.build(&dag);
+            ws.csr_is_base = true;
         }
 
         let mut durations = mem::take(&mut ws.durations);
@@ -297,11 +266,7 @@ impl<'a> SchedState<'a> {
             // order.
             cpm.clone_from(&ws.base_cpm);
         } else {
-            if fast_graph {
-                cpm.recompute_csr(&ws.csr, &durations, None, &mut cpm_scratch);
-            } else {
-                cpm.recompute(&dag, &durations, None, &mut cpm_scratch);
-            }
+            cpm.recompute_csr(&ws.csr, &durations, None, &mut cpm_scratch);
             ws.base_choice.clear();
             ws.base_choice.extend_from_slice(&impl_choice);
             ws.base_durations.clone_from(&durations);
@@ -309,7 +274,7 @@ impl<'a> SchedState<'a> {
         }
 
         let mut reach_index = mem::take(&mut ws.reach);
-        if fast_graph && ReachIndex::fits(n) {
+        if ReachIndex::fits(n) {
             // Rebuild the closure for this run (the last run's sequencing
             // arcs invalidated it); beyond the memory ceiling the state
             // falls back to DFS probes automatically.
@@ -353,8 +318,6 @@ impl<'a> SchedState<'a> {
             core_of,
             module_reuse: false,
             observer: ObserverHandle::noop(),
-            incremental: false,
-            fast_graph,
             timeline,
             cpm_scratch,
             region_pool,
@@ -381,11 +344,12 @@ impl<'a> SchedState<'a> {
     }
 
     /// True when `to` is reachable from `from` in the dependency DAG: an
-    /// `O(1)` closure lookup when the fast graph path is on and the closure
-    /// is current, a DFS otherwise. Identical verdicts either way.
+    /// `O(1)` closure lookup while the closure is current, a DFS otherwise
+    /// (past the closure's memory ceiling, or after phase F let it go
+    /// stale). Identical verdicts either way.
     #[inline]
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        if self.fast_graph && self.reach.is_current(&self.dag) {
+        if self.reach.is_current(&self.dag) {
             self.reach.query(from, to)
         } else {
             reach::is_reachable(&self.dag, from, to)
@@ -393,10 +357,9 @@ impl<'a> SchedState<'a> {
     }
 
     /// Inserts a sequencing arc, keeping the reachability closure current
-    /// when the fast graph path is on. Accept/reject behaviour is exactly
-    /// [`Dag::add_edge`]'s.
+    /// while it is. Accept/reject behaviour is exactly [`Dag::add_edge`]'s.
     pub(crate) fn insert_sequencing_arc(&mut self, u: NodeId, v: NodeId) -> Result<(), CycleError> {
-        if self.fast_graph && self.reach.is_current(&self.dag) {
+        if self.reach.is_current(&self.dag) {
             self.reach.add_edge(&mut self.dag, u, v)
         } else {
             self.dag.add_edge(u, v)
@@ -441,20 +404,10 @@ impl<'a> SchedState<'a> {
         self.inst.impls.get(self.impl_choice[t.index()]).resources()
     }
 
-    /// Re-runs CPM after a duration or dependency mutation, into the
-    /// state's warm buffers.
-    pub fn recompute_windows(&mut self) {
-        self.cpm
-            .recompute(&self.dag, &self.durations, None, &mut self.cpm_scratch);
-    }
-
-    /// Updates the analysis after `durations[t]` changed from `old`:
-    /// incrementally when the fast path is on (a no-op if the duration is
-    /// in fact unchanged), via full recompute otherwise.
+    /// Updates the analysis after `durations[t]` changed from `old` (a
+    /// no-op if the duration is in fact unchanged).
     fn windows_after_duration_change(&mut self, t: TaskId, old: Time) {
-        if !self.incremental {
-            self.recompute_windows();
-        } else if self.durations[t.index()] != old {
+        if self.durations[t.index()] != old {
             self.cpm
                 .apply_duration(&self.dag, &self.durations, t.0, &mut self.cpm_scratch);
         }
@@ -491,36 +444,23 @@ impl<'a> SchedState<'a> {
 
         // Keep the region's task list sorted by current window start and
         // wire sequencing arcs to the immediate neighbours. Insertion
-        // position and neighbours are fixed before any window update, so
-        // the incremental and full paths make identical decisions.
+        // position and neighbours are fixed before any window update.
         let w_min = self.window(t).min;
         let pos = self.insertion_pos(region, w_min);
         let tasks = &mut self.regions[region].tasks;
         tasks.insert(pos, t);
         let prev = pos.checked_sub(1).map(|i| tasks[i]);
         let next = tasks.get(pos + 1).copied();
-        if self.incremental && self.durations[t.index()] != old {
-            self.cpm
-                .apply_duration(&self.dag, &self.durations, t.0, &mut self.cpm_scratch);
-        }
+        self.windows_after_duration_change(t, old);
         if let Some(p) = prev {
             self.insert_sequencing_arc(p.0, t.0)
                 .expect("caller checked ordering consistency (prev)");
-            if self.incremental {
-                self.cpm
-                    .apply_arc(&self.dag, &self.durations, p.0, t.0, &mut self.cpm_scratch);
-            }
+            self.cpm_apply_arc(p, t);
         }
         if let Some(nx) = next {
             self.insert_sequencing_arc(t.0, nx.0)
                 .expect("caller checked ordering consistency (next)");
-            if self.incremental {
-                self.cpm
-                    .apply_arc(&self.dag, &self.durations, t.0, nx.0, &mut self.cpm_scratch);
-            }
-        }
-        if !self.incremental {
-            self.recompute_windows();
+            self.cpm_apply_arc(t, nx);
         }
     }
 
@@ -792,50 +732,6 @@ mod tests {
         }
         assert_eq!(ws.rebuilds(), 3, "every instance switch rebuilds");
         assert_eq!(ws.reuses(), 0);
-    }
-
-    #[test]
-    fn fast_graph_state_matches_plain_state() {
-        // Identical mutations through the CSR/bitset fast paths and the
-        // adjacency+DFS paths must leave identical state — across repeated
-        // workspace reuse, so the `assume_current` re-stamp is exercised.
-        let inst = mk_instance();
-        let device = &inst.architecture.device;
-        let weights = MetricWeights::new(&device.max_res, 30);
-        let mut ws = SchedWorkspace::new();
-        for round in 0..3 {
-            let mut fast = SchedState::from_workspace_with(
-                &inst,
-                device,
-                weights.clone(),
-                all_hw_choice(&inst),
-                &mut ws,
-                true,
-            )
-            .unwrap();
-            assert!(fast.fast_graph);
-            let mut plain = mk_state(&inst);
-            let hw0 = plain.impl_choice[0];
-            let hw2 = plain.impl_choice[2];
-            for st in [&mut plain, &mut fast] {
-                st.open_region(TaskId(2), hw2);
-                st.assign_to_region(TaskId(0), hw0, 0);
-                st.switch_to_sw(TaskId(1));
-            }
-            assert_eq!(fast.dag, plain.dag, "round {round}");
-            assert_eq!(fast.cpm, plain.cpm);
-            assert_eq!(fast.regions[0].tasks, plain.regions[0].tasks);
-            // Probe both directions; the closure was kept current through
-            // the inserted sequencing arcs.
-            for a in 0..3 {
-                for b in 0..3 {
-                    assert_eq!(fast.reachable(a, b), plain.reachable(a, b), "{a}->{b}");
-                }
-            }
-            fast.recycle(&mut ws);
-        }
-        assert_eq!(ws.rebuilds(), 1);
-        assert_eq!(ws.reuses(), 2);
     }
 
     #[test]

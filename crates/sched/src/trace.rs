@@ -138,8 +138,7 @@ pub trait PhaseObserver: Send + Sync {
     fn cancel_stats(&self, _cancel_polls: u64, _deadline_hits: u64) {}
 
     /// The commit layer applied a batch realization covering `edits`
-    /// controller-timeline journal edits (only emitted behind the
-    /// `solve_commit` gate; one call per pipeline run).
+    /// controller-timeline journal edits (one call per pipeline run).
     fn batch_committed(&self, _edits: u64) {}
 
     /// The repair engine finished one event: `frontier` tasks were
@@ -215,8 +214,7 @@ pub struct PhaseTrace {
     /// Reconfigurations planned by the last pipeline run.
     pub reconfigurations: usize,
     /// Pipeline runs that rewound a warm workspace instead of
-    /// re-allocating (0 when `workspace_reuse` is off or only one run
-    /// happened).
+    /// re-allocating (0 when only one run happened on a fresh workspace).
     pub workspace_reuses: u64,
     /// Floorplan-feasibility queries answered from the memoization cache.
     pub fp_cache_hits: u64,
@@ -235,8 +233,7 @@ pub struct PhaseTrace {
     /// the run was cut short and returned a degraded result).
     pub deadline_hits: u64,
     /// Batch commits applied through the solve/commit seam, summed over
-    /// restarts (0 when the `solve_commit` gate is off; equals `attempts`
-    /// when it is on).
+    /// restarts (equals `attempts`).
     pub commits: u64,
     /// Controller-timeline journal edits covered by those commits, summed.
     pub commit_edits: u64,

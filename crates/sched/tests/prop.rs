@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use prfpga_dag::{reach, CpmAnalysis};
 use prfpga_model::{
     Architecture, Device, ImplPool, Implementation, ProblemInstance, ResourceVec, TaskGraph, TaskId,
 };
@@ -50,15 +51,42 @@ fn arb_instance() -> impl Strategy<Value = ProblemInstance> {
     })
 }
 
-fn pipeline_state(inst: &ProblemInstance, ordering: OrderingPolicy) -> SchedState<'_> {
+/// The state after phases A–D: regions defined and software balanced,
+/// with the reachability closure still current.
+fn balanced_state(inst: &ProblemInstance, ordering: OrderingPolicy) -> SchedState<'_> {
     let device = &inst.architecture.device;
     let weights = MetricWeights::new(&device.max_res, impl_select::max_t(inst));
     let choice = impl_select::select_implementations(inst, &weights, CostPolicy::Full);
     let mut st = SchedState::new(inst, device, weights, choice).unwrap();
     regions::define_regions(&mut st, ordering);
     sw_balance::balance_software_tasks(&mut st);
+    st
+}
+
+fn pipeline_state(inst: &ProblemInstance, ordering: OrderingPolicy) -> SchedState<'_> {
+    let mut st = balanced_state(inst, ordering);
     sw_map::map_software_tasks(&mut st);
     st
+}
+
+/// The state's incrementally maintained CPM analysis equals a full
+/// recompute, and its reachability answers equal a plain DFS, for every
+/// ordered pair of tasks.
+fn assert_matches_oracles(st: &SchedState<'_>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&st.cpm, &CpmAnalysis::run(&st.dag, &st.durations));
+    let n = st.dag.len() as u32;
+    for a in 0..n {
+        for b in 0..n {
+            prop_assert_eq!(
+                st.reachable(a, b),
+                reach::is_reachable(&st.dag, a, b),
+                "{} -> {}",
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -112,6 +140,20 @@ proptest! {
                 prop_assert!(st.core_of[t.index()].is_some());
                 prop_assert!(st.core_of[t.index()].unwrap() < inst.architecture.num_processors);
             }
+        }
+    }
+
+    /// The phases' incremental window updates and closure-backed
+    /// reachability agree with the independent oracles — full CPM
+    /// recompute and DFS — both while the closure is live (after phase D)
+    /// and after phase F's core-chain arcs, which let it go stale.
+    #[test]
+    fn state_matches_independent_oracles(inst in arb_instance(), seed in 0u64..100) {
+        for ordering in [OrderingPolicy::EfficiencyIndex, OrderingPolicy::RandomizedNonCritical(seed)] {
+            let mut st = balanced_state(&inst, ordering);
+            assert_matches_oracles(&st)?;
+            sw_map::map_software_tasks(&mut st);
+            assert_matches_oracles(&st)?;
         }
     }
 

@@ -54,53 +54,39 @@ fn workspace_cpm_cache_keys_on_durations() {
         .collect();
     let weights = MetricWeights::new(&a.architecture.device.max_res, 1);
 
-    for fast_graph in [false, true] {
-        // Expected windows for b, from a workspace that never saw a.
-        let fresh = SchedState::from_workspace_with(
-            &b,
-            &b.architecture.device,
-            weights.clone(),
-            choice.clone(),
-            &mut SchedWorkspace::new(),
-            fast_graph,
-        )
-        .expect("fresh state for b");
-        let expect_b = fresh.cpm.windows.clone();
+    // Expected windows for b, from a workspace that never saw a.
+    let fresh = SchedState::from_workspace(
+        &b,
+        &b.architecture.device,
+        weights.clone(),
+        choice.clone(),
+        &mut SchedWorkspace::new(),
+    )
+    .expect("fresh state for b");
+    let expect_b = fresh.cpm.windows.clone();
 
-        // A pooled workspace primed by a must reproduce them exactly.
-        let mut ws = SchedWorkspace::new();
-        let st = SchedState::from_workspace_with(
-            &a,
-            &a.architecture.device,
-            weights.clone(),
-            choice.clone(),
-            &mut ws,
-            fast_graph,
-        )
-        .expect("state for a");
-        let windows_a = st.cpm.windows.clone();
-        st.recycle(&mut ws);
+    // A pooled workspace primed by a must reproduce them exactly.
+    let mut ws = SchedWorkspace::new();
+    let st = SchedState::from_workspace(
+        &a,
+        &a.architecture.device,
+        weights.clone(),
+        choice.clone(),
+        &mut ws,
+    )
+    .expect("state for a");
+    let windows_a = st.cpm.windows.clone();
+    st.recycle(&mut ws);
 
-        let st = SchedState::from_workspace_with(
-            &b,
-            &b.architecture.device,
-            weights.clone(),
-            choice.clone(),
-            &mut ws,
-            fast_graph,
-        )
+    let st = SchedState::from_workspace(&b, &b.architecture.device, weights, choice, &mut ws)
         .expect("pooled state for b");
-        assert_ne!(
-            windows_a, expect_b,
-            "scaling must move the windows (fast_graph={fast_graph})"
-        );
-        assert_eq!(
-            st.cpm.windows, expect_b,
-            "pooled workspace restored instance a's stale CPM (fast_graph={fast_graph})"
-        );
-        st.recycle(&mut ws);
-        assert_eq!(ws.reuses(), 1, "the graph-level cache must still reuse");
-    }
+    assert_ne!(windows_a, expect_b, "scaling must move the windows");
+    assert_eq!(
+        st.cpm.windows, expect_b,
+        "pooled workspace restored instance a's stale CPM"
+    );
+    st.recycle(&mut ws);
+    assert_eq!(ws.reuses(), 1, "the graph-level cache must still reuse");
 }
 
 #[test]

@@ -30,8 +30,7 @@ pub struct ServerConfig {
     /// Largest accepted request line in bytes.
     pub max_frame_bytes: usize,
     /// Base scheduler configuration (per-request deadlines and budgets
-    /// override its `time_budget`). Honors `PRFPGA_SOLVE_COMMIT=0` in
-    /// [`ServerConfig::default`], like the differential test seam.
+    /// override its `time_budget`).
     pub sched: SchedulerConfig,
     /// Task count of the per-worker prewarm run (0 disables prewarming).
     pub prewarm_tasks: usize,
@@ -46,15 +45,11 @@ impl Default for ServerConfig {
             .and_then(|s| s.parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or(4);
-        let sched = SchedulerConfig {
-            solve_commit: !matches!(std::env::var("PRFPGA_SOLVE_COMMIT").as_deref(), Ok("0")),
-            ..SchedulerConfig::default()
-        };
         ServerConfig {
             workers,
             queue_bound: 64,
             max_frame_bytes: 4 << 20,
-            sched,
+            sched: SchedulerConfig::default(),
             prewarm_tasks: 60,
             log_every: None,
         }

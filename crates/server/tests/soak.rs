@@ -4,9 +4,8 @@
 //! deadline bookkeeping, workspace-reuse counters) are checked against
 //! the server's own stats at the end.
 //!
-//! CI re-runs this binary under `PRFPGA_THREADS=2` and
-//! `PRFPGA_SOLVE_COMMIT=0`; the config below honors both seams via
-//! `ServerConfig::default`.
+//! CI re-runs this binary under `PRFPGA_THREADS=2`; the config below
+//! honors that seam via `ServerConfig::default`.
 
 mod common;
 

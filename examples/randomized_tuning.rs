@@ -78,7 +78,7 @@ fn main() {
         };
         let t0 = Instant::now();
         let s = PaRScheduler::new(cfg)
-            .schedule_parallel(&instance, threads)
+            .schedule_parallel(&instance, threads, &CancelToken::never())
             .unwrap();
         validate_schedule(&instance, &s).expect("valid");
         println!(

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use prfpga_portfolio::{Member, Portfolio, PortfolioConfig};
     pub use prfpga_sched::{
         Budget, CancelToken, CostPolicy, FakeClock, OrderingPolicy, PaRScheduler, PaScheduler,
-        RepairConfig, RepairEngine, RepairOutcome, SchedulerConfig,
+        RepairConfig, RepairEngine, RepairOutcome, SchedWorkspace, SchedulerConfig,
     };
     pub use prfpga_sim::{validate_schedule, validate_schedule_sweep};
 }
