@@ -1,7 +1,7 @@
 //! Aggregation and Markdown-table formatting for the experiment binaries.
 
 use prfpga_model::Time;
-use prfpga_sched::Phase;
+use prfpga_sched::{Phase, PhaseTrace};
 
 use crate::experiments::{Algo, SuiteResults};
 
@@ -113,18 +113,17 @@ pub fn phase_trace_section(results: &SuiteResults) -> String {
             "{:.1}",
             mean(&traces.iter().map(|t| t.attempts as f64).collect::<Vec<_>>())
         ));
-        // Workspace/cache counters: structural, not timing, so they also
-        // appear in the deterministic canonical report.
-        let counter_mean = |f: fn(u64, u64, u64) -> u64| {
-            let vals: Vec<f64> = traces
-                .iter()
-                .map(|t| f(t.workspace_reuses, t.fp_cache_hits, t.fp_cache_misses) as f64)
-                .collect();
+        let counter_mean = |f: fn(&PhaseTrace) -> u64| {
+            let vals: Vec<f64> = traces.iter().map(|t| f(t) as f64).collect();
             format!("{:.1}", mean(&vals))
         };
-        row.push(counter_mean(|r, _, _| r));
-        row.push(counter_mean(|_, h, _| h));
-        row.push(counter_mean(|_, _, m| m));
+        row.push(counter_mean(|t| t.workspace_reuses));
+        row.push(counter_mean(|t| t.fp_cache_hits));
+        row.push(counter_mean(|t| t.fp_cache_misses));
+        row.push(counter_mean(|t| t.fp_feasible));
+        row.push(counter_mean(|t| t.fp_infeasible));
+        row.push(counter_mean(|t| t.fp_root_infeasible));
+        row.push(counter_mean(|t| t.fp_timeouts));
         rows.push(row);
     }
     if rows.is_empty() {
@@ -134,7 +133,16 @@ pub fn phase_trace_section(results: &SuiteResults) -> String {
     for phase in Phase::ALL {
         headers.push(phase.name());
     }
-    headers.extend(["attempts", "ws reuses", "fp hits", "fp misses"]);
+    headers.extend([
+        "attempts",
+        "ws reuses",
+        "fp hits",
+        "fp misses",
+        "fp feasible",
+        "fp infeasible",
+        "fp at root",
+        "fp timeouts",
+    ]);
     format!(
         "### PA phase breakdown — mean wall-clock per phase [ms]\n\n{}",
         markdown_table(&headers, &rows)

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use prfpga_model::{Architecture, CancelToken, Device, Region, ResourceVec};
+use prfpga_model::{Architecture, CancelToken, Device, FabricGeometry, Region, ResourceVec};
 
 use crate::rect::Rect;
 use crate::solver::{FloorplanOutcome, Floorplanner};
@@ -35,13 +35,23 @@ use crate::solver::{FloorplanOutcome, Floorplanner};
 /// via the schedulers; generous for any realistic restart/ratchet loop.
 pub const DEFAULT_CACHE_CAPACITY: usize = 512;
 
-/// Hit/miss counters of a [`FeasibilityCache`].
+/// Hit/miss counters of a [`FeasibilityCache`], and the verdict mix of
+/// its cold solves (`feasible + infeasible + timeouts == misses`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache.
     pub hits: u64,
     /// Queries that fell through to a cold solve.
     pub misses: u64,
+    /// Cold solves that found a placement.
+    pub feasible: u64,
+    /// Cold solves that proved no placement exists.
+    pub infeasible: u64,
+    /// The part of `infeasible` settled at the root by the column-segment
+    /// coverage bound, without any search.
+    pub root_infeasible: u64,
+    /// Cold solves cut short by the time limit or the caller's token.
+    pub timeouts: u64,
 }
 
 impl CacheStats {
@@ -54,6 +64,18 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Counts one cold solve's outcome.
+    fn record(&mut self, outcome: &FloorplanOutcome, at_root: bool) {
+        match outcome {
+            FloorplanOutcome::Feasible(_) => self.feasible += 1,
+            FloorplanOutcome::Infeasible => {
+                self.infeasible += 1;
+                self.root_infeasible += u64::from(at_root);
+            }
+            FloorplanOutcome::Timeout => self.timeouts += 1,
+        }
+    }
 }
 
 impl std::ops::Add for CacheStats {
@@ -63,6 +85,10 @@ impl std::ops::Add for CacheStats {
         CacheStats {
             hits: self.hits + rhs.hits,
             misses: self.misses + rhs.misses,
+            feasible: self.feasible + rhs.feasible,
+            infeasible: self.infeasible + rhs.infeasible,
+            root_infeasible: self.root_infeasible + rhs.root_infeasible,
+            timeouts: self.timeouts + rhs.timeouts,
         }
     }
 }
@@ -127,12 +153,14 @@ impl CacheCore {
         }
     }
 
-    /// Stores an exact outcome for `key`. `Feasible` witnesses arrive in
-    /// the caller's demand order and are stored sorted-aligned via `perm`.
-    /// `Timeout` is ignored — it is a statement about the clock, not the
-    /// instance. At capacity the whole map is cleared (deterministic
-    /// generational eviction) before inserting.
-    fn insert(&mut self, key: CacheKey, outcome: &FloorplanOutcome, perm: &[usize]) {
+    /// Counts a cold solve's outcome and stores it for `key` when exact.
+    /// `Feasible` witnesses arrive in the caller's demand order and are
+    /// stored sorted-aligned via `perm`. `Timeout` is not stored — it is a
+    /// statement about the clock, not the instance. At capacity the whole
+    /// map is cleared (deterministic generational eviction) before
+    /// inserting.
+    fn insert(&mut self, key: CacheKey, outcome: &FloorplanOutcome, at_root: bool, perm: &[usize]) {
+        self.stats.record(outcome, at_root);
         let verdict = match outcome {
             FloorplanOutcome::Feasible(rects) => {
                 CachedVerdict::Feasible(perm.iter().map(|&i| rects[i]).collect())
@@ -147,11 +175,9 @@ impl CacheCore {
     }
 }
 
-/// Builds the canonical key for `(device, demands)` plus the stable
-/// argsort `perm` with `sorted[k] == demands[perm[k]]`. `None` when the
-/// device has no geometry (the planner answers trivially without solving).
-fn canonical_key(device: &Device, demands: &[ResourceVec]) -> Option<(CacheKey, Vec<usize>)> {
-    let geom = device.geometry.as_ref()?;
+/// Builds the canonical key for `(geometry, demands)` plus the stable
+/// argsort `perm` with `sorted[k] == demands[perm[k]]`.
+fn canonical_key(geom: &FabricGeometry, demands: &[ResourceVec]) -> (CacheKey, Vec<usize>) {
     let mut hasher = DefaultHasher::new();
     geom.columns.hash(&mut hasher);
     geom.rows.hash(&mut hasher);
@@ -160,13 +186,13 @@ fn canonical_key(device: &Device, demands: &[ResourceVec]) -> Option<(CacheKey, 
     let mut perm: Vec<usize> = (0..demands.len()).collect();
     perm.sort_by_key(|&i| demands[i].0);
     let sorted: Box<[ResourceVec]> = perm.iter().map(|&i| demands[i]).collect();
-    Some((
+    (
         CacheKey {
             geometry,
             demands: sorted,
         },
         perm,
-    ))
+    )
 }
 
 /// A bounded memoization layer over a [`Floorplanner`].
@@ -220,18 +246,20 @@ impl FeasibilityCache {
         demands: &[ResourceVec],
         cancel: &CancelToken,
     ) -> FloorplanOutcome {
-        let Some((key, perm)) = canonical_key(device, demands) else {
+        // Without geometry the planner answers trivially, nothing to cache.
+        let Some(geometry) = &device.geometry else {
             return self.planner.check_device(device, demands, cancel);
         };
+        let (key, perm) = canonical_key(geometry, demands);
         if let Some(outcome) = self.core.lock().lookup(&key, &perm) {
             return outcome;
         }
-        let outcome = self.planner.check_device(device, demands, cancel);
-        self.core.lock().insert(key, &outcome, &perm);
+        let (outcome, at_root) = self.planner.solve_settled(geometry, demands, cancel);
+        self.core.lock().insert(key, &outcome, at_root, &perm);
         outcome
     }
 
-    /// Hit/miss counters so far, across all clones.
+    /// Hit/miss and verdict counters so far, across all clones.
     pub fn stats(&self) -> CacheStats {
         self.core.lock().stats
     }
@@ -250,7 +278,7 @@ impl FeasibilityCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prfpga_model::{FabricColumn, FabricGeometry};
+    use prfpga_model::FabricColumn;
 
     fn never() -> CancelToken {
         CancelToken::never()
@@ -276,7 +304,15 @@ mod tests {
         let second = cache.check_device(&device, &demands, &never());
         assert_eq!(first, cold, "first query is the cold solve itself");
         assert_eq!(second, cold, "identical repeat returns the same witness");
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                feasible: 1,
+                ..CacheStats::default()
+            }
+        );
     }
 
     #[test]
@@ -328,7 +364,16 @@ mod tests {
             cache.check_device(&device, &demands, &never()),
             FloorplanOutcome::Infeasible
         );
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                infeasible: 1,
+                root_infeasible: 1,
+                ..CacheStats::default()
+            }
+        );
     }
 
     #[test]
@@ -365,7 +410,15 @@ mod tests {
         let cold = planner.check_device(&device, &demands, &never());
         assert_eq!(shared.check_device(&device, &demands, &never()), cold);
         assert_eq!(shared.check_device(&device, &demands, &never()), cold);
-        assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            shared.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                feasible: 1,
+                ..CacheStats::default()
+            }
+        );
         // Clones share the same map.
         let clone = shared.clone();
         assert_eq!(clone.check_device(&device, &demands, &never()), cold);

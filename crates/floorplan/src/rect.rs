@@ -68,15 +68,6 @@ impl Rect {
             self.height(),
         )
     }
-
-    /// Bitmask of the rows covered (rows fit in a `u64` for every real
-    /// 7-series part).
-    #[inline]
-    pub fn row_mask(&self) -> u64 {
-        debug_assert!(self.row_end <= 64);
-        let ones = self.row_end - self.row_start;
-        (((1u128 << ones) - 1) as u64) << self.row_start
-    }
 }
 
 #[cfg(test)]
@@ -109,12 +100,5 @@ mod tests {
         assert!(b.overlaps(&c));
         assert!(!a.overlaps(&d));
         assert!(a.overlaps(&a));
-    }
-
-    #[test]
-    fn row_masks() {
-        assert_eq!(Rect::new(0, 1, 0, 1).row_mask(), 0b1);
-        assert_eq!(Rect::new(0, 1, 1, 3).row_mask(), 0b110);
-        assert_eq!(Rect::new(0, 1, 0, 64).row_mask(), u64::MAX);
     }
 }

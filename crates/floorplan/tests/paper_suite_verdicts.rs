@@ -1,0 +1,127 @@
+//! Verdict regression over the paper suite's floorplanning queries.
+//!
+//! `data/paper_suite_queries.txt` holds every query PA asks over the
+//! standard suite, with the verdict the exhaustive search alone returned
+//! at the default 250 ms limit. The coverage bound and the bitset
+//! occupancy must keep every decided verdict, and the bound must settle
+//! most of the former timeouts without reading the clock.
+
+use std::time::Duration;
+
+use prfpga_floorplan::{FloorplanOutcome, Floorplanner, FloorplannerConfig};
+use prfpga_model::{CancelToken, Device, ResourceVec};
+
+const QUERIES: &str = include_str!("data/paper_suite_queries.txt");
+
+/// Former timeouts the coverage bound must turn into `Infeasible` with a
+/// zero time limit.
+const MIN_TIMEOUTS_SETTLED: usize = 52;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Recorded {
+    Feasible,
+    Infeasible,
+    Timeout,
+}
+
+fn queries() -> Vec<(Recorded, Vec<ResourceVec>)> {
+    QUERIES
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|line| {
+            let mut fields = line.split_whitespace();
+            let verdict = match fields.next().expect("verdict") {
+                "feasible" => Recorded::Feasible,
+                "infeasible" => Recorded::Infeasible,
+                "timeout" => Recorded::Timeout,
+                other => panic!("unknown verdict {other:?}"),
+            };
+            let demands = fields
+                .map(|triple| {
+                    let v: Vec<u64> = triple
+                        .split(',')
+                        .map(|x| x.parse().expect("demand"))
+                        .collect();
+                    ResourceVec::new(v[0], v[1], v[2])
+                })
+                .collect();
+            (verdict, demands)
+        })
+        .collect()
+}
+
+fn planner(time_limit: Duration) -> Floorplanner {
+    Floorplanner::new(FloorplannerConfig {
+        time_limit,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn fixture_covers_the_whole_suite() {
+    let q = queries();
+    let count = |v| q.iter().filter(|(r, _)| *r == v).count();
+    assert_eq!(q.len(), 203);
+    assert_eq!(count(Recorded::Feasible), 100);
+    assert_eq!(count(Recorded::Infeasible), 43);
+    assert_eq!(count(Recorded::Timeout), 60);
+}
+
+/// Every decided verdict is kept: Feasible stays Feasible with a sound
+/// witness, Infeasible stays Infeasible. The generous limit only absorbs
+/// slow (debug) builds; a verdict is never allowed to become a timeout.
+#[test]
+fn decided_verdicts_are_kept() {
+    let device = Device::xc7z020();
+    let geom = device.geometry.as_ref().expect("xc7z020 has a geometry");
+    let planner = planner(Duration::from_secs(120));
+    for (q, (recorded, demands)) in queries().iter().enumerate() {
+        if *recorded == Recorded::Timeout {
+            continue;
+        }
+        let got = planner.solve(geom, demands, &CancelToken::never());
+        match (recorded, &got) {
+            (Recorded::Feasible, FloorplanOutcome::Feasible(rects)) => {
+                assert_eq!(rects.len(), demands.len(), "query {q}");
+                for (i, r) in rects.iter().enumerate() {
+                    assert!(
+                        demands[i].fits_in(&r.resources(geom)),
+                        "query {q}: {r:?} does not cover {:?}",
+                        demands[i]
+                    );
+                    assert!(r.col_end as usize <= geom.columns.len() && r.row_end <= geom.rows);
+                    for r2 in &rects[i + 1..] {
+                        assert!(!r.overlaps(r2), "query {q}: {r:?} overlaps {r2:?}");
+                    }
+                }
+            }
+            (Recorded::Infeasible, FloorplanOutcome::Infeasible) => {}
+            _ => panic!("query {q}: recorded {recorded:?}, now {got:?}"),
+        }
+    }
+}
+
+/// The coverage bound settles former timeouts before any clock check: with
+/// a zero time limit they still come back `Infeasible`, so this does not
+/// depend on machine speed. A zero limit stops everything past the root,
+/// so no recorded Feasible may come back `Infeasible` here either.
+#[test]
+fn coverage_bound_settles_former_timeouts() {
+    let device = Device::xc7z020();
+    let geom = device.geometry.as_ref().expect("xc7z020 has a geometry");
+    let planner = planner(Duration::ZERO);
+    let mut settled = 0;
+    for (recorded, demands) in queries() {
+        let got = planner.solve(geom, &demands, &CancelToken::never());
+        if recorded == Recorded::Feasible {
+            assert_ne!(got, FloorplanOutcome::Infeasible, "{demands:?}");
+        }
+        if recorded == Recorded::Timeout && got == FloorplanOutcome::Infeasible {
+            settled += 1;
+        }
+    }
+    assert!(
+        settled >= MIN_TIMEOUTS_SETTLED,
+        "only {settled} of 60 former timeouts settled at the root"
+    );
+}

@@ -1,6 +1,6 @@
 //! Property-based tests for the floorplanner: soundness of every witness
-//! placement and exactness of the infeasibility answer on brute-forceable
-//! grids.
+//! placement, capacity, monotonicity and cache transparency. Exactness of
+//! the verdict against a brute-force oracle lives in `oracle.rs`.
 
 use std::time::Duration;
 

@@ -154,8 +154,7 @@ impl PaScheduler {
                 )
             };
         let report_stats = |ws: &SchedWorkspace| {
-            let stats = cache.stats();
-            observer.workspace_stats(ws.reuses(), stats.hits, stats.misses);
+            observer.workspace_stats(ws.reuses(), cache.stats());
             observer.cancel_stats(cancel.polls() - polls0, cancel.deadline_hits() - hits0);
         };
 

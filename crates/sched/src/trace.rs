@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use prfpga_floorplan::CacheStats;
 
 /// The pipeline phases distinguished by the tracer, in execution order.
 ///
@@ -122,10 +123,10 @@ pub trait PhaseObserver: Send + Sync {
 
     /// End-of-run resource-reuse totals: how many pipeline runs rewound a
     /// warm [`SchedWorkspace`] instead of re-allocating, and the
-    /// floorplan-feasibility cache's hit/miss counters.
+    /// floorplan-feasibility cache's hit/miss and verdict counters.
     ///
     /// [`SchedWorkspace`]: crate::SchedWorkspace
-    fn workspace_stats(&self, _workspace_reuses: u64, _fp_cache_hits: u64, _fp_cache_misses: u64) {}
+    fn workspace_stats(&self, _workspace_reuses: u64, _floorplan: CacheStats) {}
 
     /// Timeline-kernel counters of the last pipeline run: committed lane
     /// reservations (core occupancies in phase F plus controller windows
@@ -220,6 +221,15 @@ pub struct PhaseTrace {
     pub fp_cache_hits: u64,
     /// Floorplan-feasibility queries that required a cold solve.
     pub fp_cache_misses: u64,
+    /// Cold floorplan solves that found a placement.
+    pub fp_feasible: u64,
+    /// Cold floorplan solves that proved no placement exists.
+    pub fp_infeasible: u64,
+    /// The part of `fp_infeasible` settled at the root by the
+    /// column-segment coverage bound, without any search.
+    pub fp_root_infeasible: u64,
+    /// Cold floorplan solves cut short by the time limit or the token.
+    pub fp_timeouts: u64,
     /// Lane reservations committed by the last pipeline run's timeline
     /// kernel (core occupancies plus controller windows).
     pub timeline_reservations: u64,
@@ -302,6 +312,10 @@ impl PhaseTrace {
             self.workspace_reuses, self.fp_cache_hits, self.fp_cache_misses,
         ));
         out.push_str(&format!(
+            "floorplan verdicts {} feasible / {} infeasible ({} at root) / {} timeouts\n",
+            self.fp_feasible, self.fp_infeasible, self.fp_root_infeasible, self.fp_timeouts,
+        ));
+        out.push_str(&format!(
             "timeline {} reservations / {} gap queries\n",
             self.timeline_reservations, self.timeline_gap_queries,
         ));
@@ -376,11 +390,15 @@ impl PhaseObserver for TraceRecorder {
         self.inner.lock().reconfigurations = count;
     }
 
-    fn workspace_stats(&self, workspace_reuses: u64, fp_cache_hits: u64, fp_cache_misses: u64) {
+    fn workspace_stats(&self, workspace_reuses: u64, floorplan: CacheStats) {
         let mut t = self.inner.lock();
         t.workspace_reuses = workspace_reuses;
-        t.fp_cache_hits = fp_cache_hits;
-        t.fp_cache_misses = fp_cache_misses;
+        t.fp_cache_hits = floorplan.hits;
+        t.fp_cache_misses = floorplan.misses;
+        t.fp_feasible = floorplan.feasible;
+        t.fp_infeasible = floorplan.infeasible;
+        t.fp_root_infeasible = floorplan.root_infeasible;
+        t.fp_timeouts = floorplan.timeouts;
     }
 
     fn timeline_stats(&self, reservations: u64, gap_queries: u64) {
@@ -466,16 +484,35 @@ mod tests {
     #[test]
     fn workspace_stats_overwrite_and_render() {
         let rec = TraceRecorder::new();
-        rec.workspace_stats(3, 10, 2);
-        rec.workspace_stats(5, 12, 4);
+        let fp = |hits, misses, root_infeasible| CacheStats {
+            hits,
+            misses,
+            feasible: 1,
+            infeasible: misses - 2,
+            root_infeasible,
+            timeouts: 1,
+        };
+        rec.workspace_stats(3, fp(10, 2, 0));
+        rec.workspace_stats(5, fp(12, 4, 1));
         let t = rec.snapshot();
         assert_eq!(
             (t.workspace_reuses, t.fp_cache_hits, t.fp_cache_misses),
             (5, 12, 4)
         );
-        assert!(t
-            .render_table()
-            .contains("workspace reuses 5 | floorplan cache 12 hits / 4 misses"));
+        assert_eq!(
+            (
+                t.fp_feasible,
+                t.fp_infeasible,
+                t.fp_root_infeasible,
+                t.fp_timeouts
+            ),
+            (1, 2, 1, 1)
+        );
+        let table = t.render_table();
+        assert!(table.contains("workspace reuses 5 | floorplan cache 12 hits / 4 misses"));
+        assert!(
+            table.contains("floorplan verdicts 1 feasible / 2 infeasible (1 at root) / 1 timeouts")
+        );
     }
 
     #[test]
