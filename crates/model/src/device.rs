@@ -73,6 +73,10 @@ pub struct FabricGeometry {
 }
 
 impl FabricGeometry {
+    /// Most columns, and most rows, a geometry may have: the floorplanner
+    /// packs rectangle coordinates into 16 bits each.
+    pub const MAX_DIM: u32 = u16::MAX as u32;
+
     /// Builds a geometry from a repeating column pattern.
     pub fn from_pattern(pattern: &[FabricColumn], repeats: usize, rows: u32) -> Self {
         let mut columns = Vec::with_capacity(pattern.len() * repeats);

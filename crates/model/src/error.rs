@@ -48,6 +48,16 @@ pub enum ModelError {
     },
     /// The architecture has no processor cores, so software tasks cannot run.
     NoProcessors,
+    /// A fabric geometry has more than [`FabricGeometry::MAX_DIM`] columns
+    /// or rows.
+    ///
+    /// [`FabricGeometry::MAX_DIM`]: crate::device::FabricGeometry::MAX_DIM
+    GeometryTooLarge {
+        /// Its column count.
+        columns: usize,
+        /// Its row count.
+        rows: u32,
+    },
     /// Instance deserialization failed.
     Parse(String),
     /// Instance I/O failed.
@@ -76,6 +86,11 @@ impl fmt::Display for ModelError {
                 "hardware implementation {impl_id} of task {task} exceeds device capacity"
             ),
             ModelError::NoProcessors => write!(f, "architecture has no processor cores"),
+            ModelError::GeometryTooLarge { columns, rows } => write!(
+                f,
+                "fabric geometry of {columns} columns by {rows} rows exceeds {} of either",
+                crate::device::FabricGeometry::MAX_DIM
+            ),
             ModelError::Parse(msg) => write!(f, "instance parse error: {msg}"),
             ModelError::Io(e) => write!(f, "instance I/O error: {e}"),
         }

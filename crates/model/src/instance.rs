@@ -6,6 +6,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::architecture::Architecture;
+use crate::device::FabricGeometry;
 use crate::error::ModelError;
 use crate::implementation::{ImplId, ImplPool};
 use crate::taskgraph::{TaskGraph, TaskId};
@@ -56,6 +57,15 @@ impl ProblemInstance {
         }
         self.graph.validate_structure()?;
         let fabrics = self.architecture.fabrics();
+        let max = FabricGeometry::MAX_DIM as usize;
+        for g in fabrics.iter().filter_map(|d| d.geometry.as_ref()) {
+            if g.columns.len() > max || g.rows as usize > max {
+                return Err(ModelError::GeometryTooLarge {
+                    columns: g.columns.len(),
+                    rows: g.rows,
+                });
+            }
+        }
         for (ti, task) in self.graph.tasks.iter().enumerate() {
             let mut has_sw = false;
             for &iid in &task.impls {
@@ -259,5 +269,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ModelError::NoProcessors));
+    }
+
+    #[test]
+    fn rejects_oversized_geometry() {
+        let mut inst = tiny_instance();
+        let rows = FabricGeometry::MAX_DIM + 1;
+        inst.architecture.device.geometry = Some(FabricGeometry::from_pattern(
+            &[crate::device::FabricColumn::Clb],
+            1,
+            rows,
+        ));
+        let err = inst.validate().unwrap_err();
+        assert!(matches!(err, ModelError::GeometryTooLarge { columns: 1, rows: r } if r == rows));
     }
 }
