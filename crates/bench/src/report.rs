@@ -124,6 +124,7 @@ pub fn phase_trace_section(results: &SuiteResults) -> String {
         row.push(counter_mean(|t| t.fp_infeasible));
         row.push(counter_mean(|t| t.fp_root_infeasible));
         row.push(counter_mean(|t| t.fp_timeouts));
+        row.push(counter_mean(|t| t.fp_nodes));
         rows.push(row);
     }
     if rows.is_empty() {
@@ -142,6 +143,7 @@ pub fn phase_trace_section(results: &SuiteResults) -> String {
         "fp infeasible",
         "fp at root",
         "fp timeouts",
+        "fp DFS nodes",
     ]);
     format!(
         "### PA phase breakdown — mean wall-clock per phase [ms]\n\n{}",

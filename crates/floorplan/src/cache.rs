@@ -9,10 +9,13 @@
 //! [`FeasibilityCache`] memoizes the exact verdict behind a canonical key:
 //! the demand list *sorted*, plus a fingerprint of the device geometry.
 //!
-//! Cached entries store only exact, time-independent answers —
-//! [`FloorplanOutcome::Feasible`] witnesses and
-//! [`FloorplanOutcome::Infeasible`] proofs. [`FloorplanOutcome::Timeout`]
-//! depends on wall-clock and is never cached.
+//! Cached entries store only exact answers — [`FloorplanOutcome::Feasible`]
+//! witnesses and [`FloorplanOutcome::Infeasible`] proofs.
+//! [`FloorplanOutcome::Timeout`] is never cached: the caller's token or the
+//! wall-clock backstop may have cut the search short, and even a search
+//! that used up the node budget is a statement about one demand order —
+//! the search breaks ties by region index, so a permutation under the same
+//! canonical key can spend the budget differently.
 //!
 //! A hit for a *permuted* demand list remaps the stored witness rectangles
 //! back to the caller's demand order (sound because sorted-equal demands
@@ -29,7 +32,7 @@ use parking_lot::Mutex;
 use prfpga_model::{Architecture, CancelToken, Device, FabricGeometry, Region, ResourceVec};
 
 use crate::rect::Rect;
-use crate::solver::{FloorplanOutcome, Floorplanner};
+use crate::solver::{FloorplanOutcome, Floorplanner, Solved};
 
 /// Default entry bound for caches created by [`FeasibilityCache::new`]
 /// via the schedulers; generous for any realistic restart/ratchet loop.
@@ -50,8 +53,11 @@ pub struct CacheStats {
     /// The part of `infeasible` settled at the root by the column-segment
     /// coverage bound, without any search.
     pub root_infeasible: u64,
-    /// Cold solves cut short by the time limit or the caller's token.
+    /// Cold solves that gave up undecided: the node budget ran out, or the
+    /// caller's token or the time limit fired.
     pub timeouts: u64,
+    /// DFS nodes visited over all cold solves.
+    pub nodes: u64,
 }
 
 impl CacheStats {
@@ -65,16 +71,17 @@ impl CacheStats {
         }
     }
 
-    /// Counts one cold solve's outcome.
-    fn record(&mut self, outcome: &FloorplanOutcome, at_root: bool) {
-        match outcome {
+    /// Counts one cold solve's outcome and search size.
+    fn record(&mut self, solved: &Solved) {
+        match solved.outcome {
             FloorplanOutcome::Feasible(_) => self.feasible += 1,
             FloorplanOutcome::Infeasible => {
                 self.infeasible += 1;
-                self.root_infeasible += u64::from(at_root);
+                self.root_infeasible += u64::from(solved.at_root);
             }
             FloorplanOutcome::Timeout => self.timeouts += 1,
         }
+        self.nodes += solved.nodes;
     }
 }
 
@@ -89,6 +96,7 @@ impl std::ops::Add for CacheStats {
             infeasible: self.infeasible + rhs.infeasible,
             root_infeasible: self.root_infeasible + rhs.root_infeasible,
             timeouts: self.timeouts + rhs.timeouts,
+            nodes: self.nodes + rhs.nodes,
         }
     }
 }
@@ -153,15 +161,15 @@ impl CacheCore {
         }
     }
 
-    /// Counts a cold solve's outcome and stores it for `key` when exact.
+    /// Counts a cold solve and stores its outcome for `key` when exact.
     /// `Feasible` witnesses arrive in the caller's demand order and are
     /// stored sorted-aligned via `perm`. `Timeout` is not stored — it is a
-    /// statement about the clock, not the instance. At capacity the whole
-    /// map is cleared (deterministic generational eviction) before
-    /// inserting.
-    fn insert(&mut self, key: CacheKey, outcome: &FloorplanOutcome, at_root: bool, perm: &[usize]) {
-        self.stats.record(outcome, at_root);
-        let verdict = match outcome {
+    /// statement about the budget, the token or the demand order, not the
+    /// instance. At capacity the whole map is cleared (deterministic
+    /// generational eviction) before inserting.
+    fn insert(&mut self, key: CacheKey, solved: &Solved, perm: &[usize]) {
+        self.stats.record(solved);
+        let verdict = match &solved.outcome {
             FloorplanOutcome::Feasible(rects) => {
                 CachedVerdict::Feasible(perm.iter().map(|&i| rects[i]).collect())
             }
@@ -254,9 +262,9 @@ impl FeasibilityCache {
         if let Some(outcome) = self.core.lock().lookup(&key, &perm) {
             return outcome;
         }
-        let (outcome, at_root) = self.planner.solve_settled(geometry, demands, cancel);
-        self.core.lock().insert(key, &outcome, at_root, &perm);
-        outcome
+        let solved = self.planner.solve_counted(geometry, demands, cancel);
+        self.core.lock().insert(key, &solved, &perm);
+        solved.outcome
     }
 
     /// Hit/miss and verdict counters so far, across all clones.

@@ -22,14 +22,16 @@
 //! 3. otherwise it sorts each region's candidates by one packed key, runs
 //!    greedy pre-passes over a bitset occupancy grid (`rows × ⌈cols/64⌉`
 //!    words), then a most-constrained-first backtracking search for a
-//!    pairwise-disjoint selection, with a wall-clock budget. Every node
-//!    re-checks the segment bound against the segments still free, and
-//!    the search narrows each unplaced region's domain of free candidates
-//!    as it places, so a node walks only its own free candidates.
+//!    pairwise-disjoint selection, bounded by [`NODE_BUDGET`] nodes. Every
+//!    node re-checks the segment bound against the segments still free,
+//!    and the search narrows each unplaced region's domain of free
+//!    candidates as it places, so a node walks only its own free
+//!    candidates.
 //!
 //! The search is exact: [`FloorplanOutcome::Infeasible`] is a proof, while
-//! [`FloorplanOutcome::Timeout`] is returned when the budget expires first
-//! (callers treat it as "not feasible now", exactly as the paper treats a
+//! [`FloorplanOutcome::Timeout`] is returned when the node budget runs out
+//! first, or the caller's token or the wall-clock backstop fires (callers
+//! treat it as "not feasible now", exactly as the paper treats a
 //! floorplanner failure).
 
 #![warn(missing_docs)]
@@ -44,4 +46,4 @@ pub mod solver;
 pub use cache::{CacheStats, FeasibilityCache, DEFAULT_CACHE_CAPACITY};
 pub use rect::Rect;
 pub use render::render_fabric;
-pub use solver::{FloorplanOutcome, Floorplanner, FloorplannerConfig};
+pub use solver::{FloorplanOutcome, Floorplanner, FloorplannerConfig, NODE_BUDGET};

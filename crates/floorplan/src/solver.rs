@@ -13,12 +13,15 @@ use crate::rect::Rect;
 /// Configuration of the [`Floorplanner`].
 #[derive(Debug, Clone)]
 pub struct FloorplannerConfig {
-    /// Wall-clock budget for one `solve` call. The paper runs its MILP
+    /// Wall-clock backstop for one `solve` call. The paper runs its MILP
     /// floorplanner "to verify the existence of a solution in a small
-    /// amount of time"; the same contract applies here. Enforced as an
-    /// internal [`CancelToken`] deadline; callers with their own deadline
-    /// layer it on top via the token every query takes, and whichever
-    /// fires first yields [`FloorplanOutcome::Timeout`].
+    /// amount of time"; here that bound is [`NODE_BUDGET`], so a verdict
+    /// does not depend on host speed or build profile. This limit only
+    /// guards against pathological per-node cost: it is peeked, without
+    /// counting a poll, before the greedy passes and every
+    /// `CANCEL_POLL_STRIDE` DFS nodes, and yields
+    /// [`FloorplanOutcome::Timeout`] once it has passed. Callers with a
+    /// deadline of their own pass it on the token every query takes.
     pub time_limit: Duration,
     /// Cap on candidate rectangles kept per region (smallest first). The
     /// enumeration is complete; the cap trades completeness for speed on
@@ -44,7 +47,8 @@ pub enum FloorplanOutcome {
     Feasible(Vec<Rect>),
     /// No disjoint placement exists (exact proof).
     Infeasible,
-    /// The time budget expired before the search concluded.
+    /// The search gave up undecided: it used up [`NODE_BUDGET`], or the
+    /// caller's token or the `time_limit` backstop fired.
     Timeout,
 }
 
@@ -140,37 +144,42 @@ impl Floorplanner {
 
     /// Exact search for a disjoint placement of `demands` on `geometry`.
     ///
-    /// The configured `time_limit` and the caller's token are unified on the
-    /// same mechanism: each search node polls `cancel` (counting a poll on
-    /// the caller's token) and peeks the internal per-call budget; whichever
-    /// fires first terminates the search with [`FloorplanOutcome::Timeout`].
-    /// The caller observes the distinction through its own token state.
-    /// Region sets the coverage bound refutes are answered before the first
-    /// checkpoint, so they are `Infeasible` under any budget.
+    /// The search visits at most [`NODE_BUDGET`] DFS nodes and returns
+    /// [`FloorplanOutcome::Timeout`] when they run out, so the verdict is
+    /// the same on any host. The caller's token is polled (counted) before
+    /// the greedy passes and every `CANCEL_POLL_STRIDE` nodes, where the
+    /// `time_limit` backstop is also peeked; either firing yields `Timeout`
+    /// too, and the caller tells them apart by its own token state. Region
+    /// sets the coverage bound refutes are answered before the first
+    /// checkpoint, so they are `Infeasible` under any token and limit.
     pub fn solve(
         &self,
         geometry: &FabricGeometry,
         demands: &[ResourceVec],
         cancel: &CancelToken,
     ) -> FloorplanOutcome {
-        self.solve_settled(geometry, demands, cancel).0
+        self.solve_counted(geometry, demands, cancel).outcome
     }
 
-    /// [`Floorplanner::solve`], also reporting whether the outcome was
-    /// settled at the root: an `Infeasible` proven from the candidate lists
-    /// alone, before any search or clock check.
-    pub(crate) fn solve_settled(
+    /// [`Floorplanner::solve`], also reporting what
+    /// [`CacheStats`](crate::CacheStats) counts about the search.
+    pub(crate) fn solve_counted(
         &self,
         geometry: &FabricGeometry,
         demands: &[ResourceVec],
         cancel: &CancelToken,
-    ) -> (FloorplanOutcome, bool) {
+    ) -> Solved {
+        let before_search = |outcome, at_root| Solved {
+            outcome,
+            at_root,
+            nodes: 0,
+        };
         if demands.is_empty() {
-            return (FloorplanOutcome::Feasible(vec![]), false);
+            return before_search(FloorplanOutcome::Feasible(vec![]), false);
         }
-        // Internal per-call budget, peeked (non-counting) alongside the
-        // caller's token at every checkpoint below.
-        let budget = CancelToken::after(self.config.time_limit);
+        // Wall-clock backstop, peeked (non-counting) alongside the caller's
+        // token at the checkpoints below.
+        let backstop = CancelToken::after(self.config.time_limit);
 
         // Coverage bound: disjoint rectangles cover disjoint column
         // segments, so for every kind (and for cells overall) the fewest
@@ -205,12 +214,12 @@ impl Floorplanner {
             kept.push(k);
         }
         if kept.iter().any(|k| k.keys.is_empty()) {
-            return (FloorplanOutcome::Infeasible, true);
+            return before_search(FloorplanOutcome::Infeasible, true);
         }
         let need: Cover = std::array::from_fn(|d| kept.iter().map(|k| k.min_cover[d]).sum());
         let capacity = columns.capacity();
         if exceeds(&need, &capacity) {
-            return (FloorplanOutcome::Infeasible, true);
+            return before_search(FloorplanOutcome::Infeasible, true);
         }
 
         let mut slots: Vec<Slot> = Vec::with_capacity(kept.len());
@@ -236,9 +245,9 @@ impl Floorplanner {
 
         // Checkpoint before the greedy passes and the search. Nothing above
         // reads the clock, so what the bound refutes is `Infeasible` under
-        // any budget.
-        if cancel.is_cancelled() || budget.fired() {
-            return (FloorplanOutcome::Timeout, false);
+        // any time limit.
+        if cancel.is_cancelled() || backstop.fired() {
+            return before_search(FloorplanOutcome::Timeout, false);
         }
 
         // Symmetry breaking: regions with identical candidate lists are
@@ -286,7 +295,7 @@ impl Floorplanner {
                 free.is_some()
             });
             if placed {
-                return (FloorplanOutcome::Feasible(out), false);
+                return before_search(FloorplanOutcome::Feasible(out), false);
             }
         }
 
@@ -305,7 +314,7 @@ impl Floorplanner {
             rem_min: &rem_min,
             capacity,
             cancel,
-            budget: &budget,
+            backstop: &backstop,
             timed_out: false,
             nodes: 0,
             chosen_idx: Vec::with_capacity(slots.len()),
@@ -324,8 +333,22 @@ impl Floorplanner {
         } else {
             FloorplanOutcome::Infeasible
         };
-        (outcome, false)
+        Solved {
+            outcome,
+            at_root: false,
+            nodes: search.nodes,
+        }
     }
+}
+
+/// A cold solve's outcome and what the cache counts about it.
+pub(crate) struct Solved {
+    pub(crate) outcome: FloorplanOutcome,
+    /// An `Infeasible` proven from the candidate lists alone, before any
+    /// search or clock check.
+    pub(crate) at_root: bool,
+    /// DFS nodes visited (0 when the root or a greedy pass decided).
+    pub(crate) nodes: u64,
 }
 
 /// True when some dimension of `need` exceeds `have`.
@@ -499,10 +522,18 @@ pub(crate) fn check_platform_with(
     }
 }
 
-/// Caller-token poll stride inside the DFS: one counted poll every this
-/// many nodes. Bounds both the polling overhead on hot searches and the
-/// size of exhaustive fire-on-every-poll sweeps in the cancellation tests,
-/// while keeping worst-case cancellation latency at a few microseconds.
+/// DFS nodes one exact search may visit before it gives up with
+/// [`FloorplanOutcome::Timeout`]. Every decided search among the paper
+/// suite's floorplan queries visits at most 26,193 nodes; this is five
+/// times that, and it holds a search to tens of milliseconds in a release
+/// build.
+pub const NODE_BUDGET: u64 = 1 << 17;
+
+/// Caller-token poll stride inside the DFS: one counted poll, and one peek
+/// at the `time_limit` backstop, every this many nodes. Bounds both the
+/// polling overhead on hot searches and the size of exhaustive
+/// fire-on-every-poll sweeps in the cancellation tests, while keeping
+/// worst-case cancellation latency at a few microseconds.
 const CANCEL_POLL_STRIDE: u64 = 64;
 
 /// DFS state for the exact search.
@@ -520,7 +551,7 @@ struct Search<'a> {
     rem_min: &'a [Cover],
     capacity: Cover,
     cancel: &'a CancelToken,
-    budget: &'a CancelToken,
+    backstop: &'a CancelToken,
     timed_out: bool,
     nodes: u64,
     chosen_idx: Vec<usize>,
@@ -540,12 +571,16 @@ impl Search<'_> {
         if depth == n {
             return true;
         }
-        // Cancellation checkpoint: the internal time limit is peeked every
-        // node, the caller's token polled (counted) once per
-        // [`CANCEL_POLL_STRIDE`] nodes.
+        // Budget checkpoint: give up once [`NODE_BUDGET`] nodes have been
+        // visited; once per [`CANCEL_POLL_STRIDE`] nodes, poll (counted) the
+        // caller's token and peek the wall-clock backstop.
+        if self.nodes == NODE_BUDGET {
+            self.timed_out = true;
+            return false;
+        }
         self.nodes += 1;
-        if (self.nodes.is_multiple_of(CANCEL_POLL_STRIDE) && self.cancel.is_cancelled())
-            || self.budget.fired()
+        if self.nodes.is_multiple_of(CANCEL_POLL_STRIDE)
+            && (self.cancel.is_cancelled() || self.backstop.fired())
         {
             self.timed_out = true;
             return false;

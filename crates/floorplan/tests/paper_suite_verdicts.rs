@@ -2,13 +2,18 @@
 //!
 //! `data/paper_suite_queries.txt` holds every query PA asks over the
 //! standard suite, with the verdict the exhaustive search alone returned
-//! at the default 250 ms limit. The coverage bound and the bitset
-//! occupancy must keep every decided verdict, and the bound must settle
-//! most of the former timeouts without reading the clock.
+//! at a 250 ms wall-clock limit. The coverage bound and the search must
+//! keep every decided verdict, and the bound must settle most of the
+//! former timeouts without reading the clock. The search itself is bounded
+//! by [`NODE_BUDGET`], not by the clock: every decided verdict stays well
+//! inside it, and the former timeouts the bound leaves open use it up
+//! under a limit long enough that the clock never stops them.
 
 use std::time::Duration;
 
-use prfpga_floorplan::{FloorplanOutcome, Floorplanner, FloorplannerConfig};
+use prfpga_floorplan::{
+    CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, FloorplannerConfig, NODE_BUDGET,
+};
 use prfpga_model::{CancelToken, Device, ResourceVec};
 
 const QUERIES: &str = include_str!("data/paper_suite_queries.txt");
@@ -16,6 +21,10 @@ const QUERIES: &str = include_str!("data/paper_suite_queries.txt");
 /// Former timeouts the coverage bound must turn into `Infeasible` with a
 /// zero time limit.
 const MIN_TIMEOUTS_SETTLED: usize = 52;
+
+/// Former timeouts the coverage bound leaves open; the node budget stops
+/// each of them.
+const TIMEOUTS_AT_BUDGET: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Recorded {
@@ -124,4 +133,60 @@ fn coverage_bound_settles_former_timeouts() {
         settled >= MIN_TIMEOUTS_SETTLED,
         "only {settled} of 60 former timeouts settled at the root"
     );
+}
+
+/// One cold solve of `demands` on the xc7z020 through a fresh cache, with
+/// the cache's counters for it.
+fn counted_solve(
+    planner: &Floorplanner,
+    demands: &[ResourceVec],
+) -> (FloorplanOutcome, CacheStats) {
+    let cache = FeasibilityCache::new(planner.clone(), 1);
+    let outcome = cache.check_device(&Device::xc7z020(), demands, &CancelToken::never());
+    (outcome, cache.stats())
+}
+
+/// Every decided verdict is reached within a quarter of the node budget,
+/// so the budget cuts off no search that would decide.
+#[test]
+fn decided_verdicts_stay_within_a_quarter_of_the_node_budget() {
+    let planner = planner(Duration::from_secs(120));
+    for (q, (recorded, demands)) in queries().iter().enumerate() {
+        if *recorded == Recorded::Timeout {
+            continue;
+        }
+        let (got, stats) = counted_solve(&planner, demands);
+        let decided = match recorded {
+            Recorded::Feasible => got.is_feasible(),
+            _ => got == FloorplanOutcome::Infeasible,
+        };
+        assert!(decided, "query {q}: recorded {recorded:?}, now {got:?}");
+        assert!(
+            stats.nodes <= NODE_BUDGET / 4,
+            "query {q}: decided after {} DFS nodes",
+            stats.nodes
+        );
+    }
+}
+
+/// The former timeouts the coverage bound leaves open give up at the node
+/// budget: under a 120 s time limit they come back `Timeout` after exactly
+/// `NODE_BUDGET` nodes, so the budget, not the clock, stopped them.
+#[test]
+fn node_budget_stops_the_remaining_timeouts() {
+    let planner = planner(Duration::from_secs(120));
+    let mut at_budget = 0;
+    for (q, (recorded, demands)) in queries().iter().enumerate() {
+        if *recorded != Recorded::Timeout {
+            continue;
+        }
+        let (got, stats) = counted_solve(&planner, demands);
+        if stats.root_infeasible == 1 {
+            continue;
+        }
+        assert_eq!(got, FloorplanOutcome::Timeout, "query {q}");
+        assert_eq!(stats.nodes, NODE_BUDGET, "query {q}");
+        at_budget += 1;
+    }
+    assert_eq!(at_budget, TIMEOUTS_AT_BUDGET);
 }

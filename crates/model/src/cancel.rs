@@ -158,8 +158,8 @@ impl CancelToken {
     /// A child token that additionally carries its own wall-clock budget of
     /// `budget` from now — whichever of the two deadlines comes first wins.
     ///
-    /// This is how the floorplanner's per-call `time_limit` is layered under
-    /// a scheduler-level deadline.
+    /// This is how a server request's or a portfolio member's deadline is
+    /// layered under an outer token.
     pub fn with_budget(&self, budget: Duration) -> Self {
         Self::build(
             0,

@@ -228,8 +228,11 @@ pub struct PhaseTrace {
     /// The part of `fp_infeasible` settled at the root by the
     /// column-segment coverage bound, without any search.
     pub fp_root_infeasible: u64,
-    /// Cold floorplan solves cut short by the time limit or the token.
+    /// Cold floorplan solves that gave up undecided: the node budget ran
+    /// out, or the token or the time limit fired.
     pub fp_timeouts: u64,
+    /// DFS nodes the cold floorplan solves visited.
+    pub fp_nodes: u64,
     /// Lane reservations committed by the last pipeline run's timeline
     /// kernel (core occupancies plus controller windows).
     pub timeline_reservations: u64,
@@ -312,8 +315,12 @@ impl PhaseTrace {
             self.workspace_reuses, self.fp_cache_hits, self.fp_cache_misses,
         ));
         out.push_str(&format!(
-            "floorplan verdicts {} feasible / {} infeasible ({} at root) / {} timeouts\n",
-            self.fp_feasible, self.fp_infeasible, self.fp_root_infeasible, self.fp_timeouts,
+            "floorplan verdicts {} feasible / {} infeasible ({} at root) / {} timeouts | {} DFS nodes\n",
+            self.fp_feasible,
+            self.fp_infeasible,
+            self.fp_root_infeasible,
+            self.fp_timeouts,
+            self.fp_nodes,
         ));
         out.push_str(&format!(
             "timeline {} reservations / {} gap queries\n",
@@ -399,6 +406,7 @@ impl PhaseObserver for TraceRecorder {
         t.fp_infeasible = floorplan.infeasible;
         t.fp_root_infeasible = floorplan.root_infeasible;
         t.fp_timeouts = floorplan.timeouts;
+        t.fp_nodes = floorplan.nodes;
     }
 
     fn timeline_stats(&self, reservations: u64, gap_queries: u64) {
@@ -491,6 +499,7 @@ mod tests {
             infeasible: misses - 2,
             root_infeasible,
             timeouts: 1,
+            nodes: 7 * misses,
         };
         rec.workspace_stats(3, fp(10, 2, 0));
         rec.workspace_stats(5, fp(12, 4, 1));
@@ -504,15 +513,16 @@ mod tests {
                 t.fp_feasible,
                 t.fp_infeasible,
                 t.fp_root_infeasible,
-                t.fp_timeouts
+                t.fp_timeouts,
+                t.fp_nodes
             ),
-            (1, 2, 1, 1)
+            (1, 2, 1, 1, 28)
         );
         let table = t.render_table();
         assert!(table.contains("workspace reuses 5 | floorplan cache 12 hits / 4 misses"));
-        assert!(
-            table.contains("floorplan verdicts 1 feasible / 2 infeasible (1 at root) / 1 timeouts")
-        );
+        assert!(table.contains(
+            "floorplan verdicts 1 feasible / 2 infeasible (1 at root) / 1 timeouts | 28 DFS nodes"
+        ));
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! state behind (rewind safety).
 //!
 //! The floorplanner config is pinned for determinism: an effectively
-//! unlimited `time_limit` (so the internal wall-clock budget never fires
-//! and poll counts are reproducible across debug/release builds) and a
-//! small candidate cap (so the exact search stays a few thousand nodes —
-//! enough to reach the mid-DFS cancellation checkpoints, small enough that
-//! the quadratic sweep finishes in seconds).
+//! unlimited `time_limit` (so the wall-clock backstop never fires, the
+//! search is bounded by the solver's node budget alone, and poll counts
+//! are reproducible across debug/release builds) and a small candidate
+//! cap (so the exact search stays a few thousand nodes — enough to reach
+//! the mid-DFS cancellation checkpoints, small enough that the quadratic
+//! sweep finishes in seconds).
 
 use std::time::Duration;
 

@@ -4,6 +4,7 @@
 //! a paper-level conclusion — which should be a conscious decision.
 
 use prfpga::baseline::IsKConfig;
+use prfpga::floorplan::FloorplannerConfig;
 use prfpga::gen::SuiteConfig;
 use prfpga::prelude::*;
 
@@ -52,22 +53,23 @@ fn pa_beats_is1_at_medium_and_large_sizes() {
 
 /// PA-R with a fixed iteration budget never loses to the deterministic PA
 /// ordering by much, and improves on it on average (it explores a superset
-/// of orderings and keeps the best feasible one).
-///
-/// Release builds only: the floorplanner's wall-clock budget interacts
-/// with unoptimized code in debug builds, turning otherwise-deterministic
-/// feasibility answers into timeouts and perturbing the comparison.
+/// of orderings and keeps the best feasible one). The floorplan time limit
+/// is generous, so the node budget alone decides every verdict and the
+/// comparison is the same in any build profile.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "floorplan wall-clock budget is unreliable in debug builds"
-)]
 fn par_improves_on_pa_on_average() {
-    let pa = PaScheduler::new(SchedulerConfig::default());
+    let cfg = SchedulerConfig {
+        floorplan: FloorplannerConfig {
+            time_limit: std::time::Duration::from_secs(600),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let pa = PaScheduler::new(cfg.clone());
     let par = PaRScheduler::new(SchedulerConfig {
         max_iterations: 12,
         time_budget: std::time::Duration::from_secs(120),
-        ..Default::default()
+        ..cfg
     });
     let mut pa_total = 0.0;
     let mut par_total = 0.0;

@@ -24,8 +24,9 @@ fn instance(tasks: usize, seed: u64) -> ProblemInstance {
 }
 
 /// Deterministic scheduler config: iteration-capped PA-R and a pinned
-/// floorplanner (huge time limit, small candidate cap) so repeated runs
-/// are byte-identical and never depend on wall-clock solver timeouts.
+/// floorplanner (a time limit the node budget always beats, small
+/// candidate cap) so repeated runs are byte-identical and never depend on
+/// the wall-clock backstop.
 fn pinned_config() -> SchedulerConfig {
     SchedulerConfig {
         max_iterations: 4,
