@@ -56,7 +56,10 @@ pub struct CacheStats {
     /// Cold solves that gave up undecided: the node budget ran out, or the
     /// caller's token or the time limit fired.
     pub timeouts: u64,
-    /// DFS nodes visited over all cold solves.
+    /// DFS nodes (placement attempts, see [`NODE_BUDGET`]) over all cold
+    /// solves.
+    ///
+    /// [`NODE_BUDGET`]: crate::NODE_BUDGET
     pub nodes: u64,
 }
 

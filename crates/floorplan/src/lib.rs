@@ -22,11 +22,11 @@
 //! 3. otherwise it sorts each region's candidates by one packed key, runs
 //!    greedy pre-passes over a bitset occupancy grid (`rows × ⌈cols/64⌉`
 //!    words), then a most-constrained-first backtracking search for a
-//!    pairwise-disjoint selection, bounded by [`NODE_BUDGET`] nodes. Every
-//!    node re-checks the segment bound against the segments still free,
-//!    and the search narrows each unplaced region's domain of free
-//!    candidates as it places, so a node walks only its own free
-//!    candidates.
+//!    pairwise-disjoint selection, bounded by [`NODE_BUDGET`] nodes, where
+//!    a node is one placement attempt. Every attempt re-checks the segment
+//!    bound against the segments it would leave free, then narrows each
+//!    unplaced region's domain of free candidates, and is undone without
+//!    descending when some domain comes out empty (forward checking).
 //!
 //! The search is exact: [`FloorplanOutcome::Infeasible`] is a proof, while
 //! [`FloorplanOutcome::Timeout`] is returned when the node budget runs out

@@ -19,7 +19,7 @@ pub struct FloorplannerConfig {
     /// does not depend on host speed or build profile. This limit only
     /// guards against pathological per-node cost: it is peeked, without
     /// counting a poll, before the greedy passes and every
-    /// `CANCEL_POLL_STRIDE` DFS nodes, and yields
+    /// `CANCEL_POLL_STRIDE` placement attempts, and yields
     /// [`FloorplanOutcome::Timeout`] once it has passed. Callers with a
     /// deadline of their own pass it on the token every query takes.
     pub time_limit: Duration,
@@ -144,14 +144,15 @@ impl Floorplanner {
 
     /// Exact search for a disjoint placement of `demands` on `geometry`.
     ///
-    /// The search visits at most [`NODE_BUDGET`] DFS nodes and returns
-    /// [`FloorplanOutcome::Timeout`] when they run out, so the verdict is
-    /// the same on any host. The caller's token is polled (counted) before
-    /// the greedy passes and every `CANCEL_POLL_STRIDE` nodes, where the
-    /// `time_limit` backstop is also peeked; either firing yields `Timeout`
-    /// too, and the caller tells them apart by its own token state. Region
-    /// sets the coverage bound refutes are answered before the first
-    /// checkpoint, so they are `Infeasible` under any token and limit.
+    /// The search makes at most [`NODE_BUDGET`] placement attempts and
+    /// returns [`FloorplanOutcome::Timeout`] when they run out, so the
+    /// verdict is the same on any host. The caller's token is polled
+    /// (counted) before the greedy passes and every `CANCEL_POLL_STRIDE`
+    /// attempts, where the `time_limit` backstop is also peeked; either
+    /// firing yields `Timeout` too, and the caller tells them apart by its
+    /// own token state. Region sets the coverage bound refutes are answered
+    /// before the first checkpoint, so they are `Infeasible` under any
+    /// token and limit.
     pub fn solve(
         &self,
         geometry: &FabricGeometry,
@@ -185,8 +186,8 @@ impl Floorplanner {
         // segments, so for every kind (and for cells overall) the fewest
         // segments each region's kept candidates cover must sum to at most
         // what the fabric has. At the root it refutes over-subscribed sets
-        // before any candidate list is sorted; the DFS re-checks it
-        // against the segments still free.
+        // before any candidate list is sorted; the DFS re-checks it at
+        // every placement attempt against the segments left free.
         let columns = Columns::new(geometry);
         // Regions with equal demands share one candidate list: `twin[i]`
         // is the first region whose demand equals region `i`'s.
@@ -347,7 +348,7 @@ pub(crate) struct Solved {
     /// An `Infeasible` proven from the candidate lists alone, before any
     /// search or clock check.
     pub(crate) at_root: bool,
-    /// DFS nodes visited (0 when the root or a greedy pass decided).
+    /// Placement attempts made (0 when the root or a greedy pass decided).
     pub(crate) nodes: u64,
 }
 
@@ -522,28 +523,32 @@ pub(crate) fn check_platform_with(
     }
 }
 
-/// DFS nodes one exact search may visit before it gives up with
-/// [`FloorplanOutcome::Timeout`]. Every decided search among the paper
-/// suite's floorplan queries visits at most 26,193 nodes; this is five
-/// times that, and it holds a search to tens of milliseconds in a release
-/// build.
+/// Placement attempts one exact search may make before it gives up with
+/// [`FloorplanOutcome::Timeout`]. A node is one attempt: one candidate
+/// tried for one region, whether the coverage cut or forward checking
+/// prunes it or the search descends into it. Each attempt pays for at
+/// most one narrowing pass, so the count bounds the work done. Every
+/// decided search among the paper suite's floorplan queries makes at most
+/// 26,193 attempts; this is five times that, and it holds a search to
+/// tens of milliseconds in a release build.
 pub const NODE_BUDGET: u64 = 1 << 17;
 
 /// Caller-token poll stride inside the DFS: one counted poll, and one peek
-/// at the `time_limit` backstop, every this many nodes. Bounds both the
-/// polling overhead on hot searches and the size of exhaustive
-/// fire-on-every-poll sweeps in the cancellation tests, while keeping
-/// worst-case cancellation latency at a few microseconds.
+/// at the `time_limit` backstop, every this many nodes (placement
+/// attempts). Bounds both the polling overhead on hot searches and the
+/// size of exhaustive fire-on-every-poll sweeps in the cancellation tests,
+/// while keeping worst-case cancellation latency at a few microseconds.
 const CANCEL_POLL_STRIDE: u64 = 64;
 
-/// DFS state for the exact search.
+/// Forward-checking DFS state for the exact search.
 ///
 /// Each depth keeps the *domain* of every region still to place: the
 /// indices, ascending, of its candidates that overlap no rectangle placed
-/// so far. A placement narrows the later domains by one rectangle test per
-/// entry, so a node walks only its own region's free candidates instead
-/// of testing them all. The nodes visited, and their order, are those of
-/// a plain scan.
+/// so far. Placing a candidate narrows the later domains by one rectangle
+/// test per entry; when one comes out empty, the placement is undone
+/// without descending. The candidate order is static and only subtrees
+/// without a placement are pruned, so the first placement found is that
+/// of a plain scan.
 struct Search<'a> {
     slots: &'a [Slot],
     columns: &'a Columns,
@@ -553,6 +558,7 @@ struct Search<'a> {
     cancel: &'a CancelToken,
     backstop: &'a CancelToken,
     timed_out: bool,
+    /// Placement attempts so far.
     nodes: u64,
     chosen_idx: Vec<usize>,
     /// Segments the placed rectangles cover, per dimension.
@@ -571,26 +577,6 @@ impl Search<'_> {
         if depth == n {
             return true;
         }
-        // Budget checkpoint: give up once [`NODE_BUDGET`] nodes have been
-        // visited; once per [`CANCEL_POLL_STRIDE`] nodes, poll (counted) the
-        // caller's token and peek the wall-clock backstop.
-        if self.nodes == NODE_BUDGET {
-            self.timed_out = true;
-            return false;
-        }
-        self.nodes += 1;
-        if self.nodes.is_multiple_of(CANCEL_POLL_STRIDE)
-            && (self.cancel.is_cancelled() || self.backstop.fired())
-        {
-            self.timed_out = true;
-            return false;
-        }
-        // Coverage cut: the segments still free must cover the remaining
-        // regions' minimal coverage, kind by kind and in cells overall.
-        let free: Cover = std::array::from_fn(|d| self.capacity[d] - self.used[d]);
-        if exceeds(&self.rem_min[depth], &free) {
-            return false;
-        }
         let start_idx = match self.sym_prev[depth] {
             Some(prev_slot) => self.chosen_idx[prev_slot] + 1,
             None => 0,
@@ -602,21 +588,43 @@ impl Search<'_> {
             if idx < start_idx {
                 continue;
             }
+            // Budget checkpoint: give up once [`NODE_BUDGET`] attempts have
+            // been made; once per [`CANCEL_POLL_STRIDE`] attempts, poll
+            // (counted) the caller's token and peek the wall-clock backstop.
+            if self.nodes == NODE_BUDGET {
+                self.timed_out = true;
+                return false;
+            }
+            self.nodes += 1;
+            if self.nodes.is_multiple_of(CANCEL_POLL_STRIDE)
+                && (self.cancel.is_cancelled() || self.backstop.fired())
+            {
+                self.timed_out = true;
+                return false;
+            }
             let cand = self.slots[depth].cands[idx];
-            let marks = (self.pool.len(), self.ranges.len());
-            self.narrow(depth, frame, &cand);
+            // Coverage cut: the segments left free by this placement must
+            // cover the later regions' minimal coverage, kind by kind and
+            // in cells overall.
             let cover = self.columns.cover(&cand);
-            self.chosen_idx.push(idx);
-            for (u, c) in self.used.iter_mut().zip(cover) {
-                *u += c;
+            let free: Cover = std::array::from_fn(|d| self.capacity[d] - self.used[d] - cover[d]);
+            if exceeds(&self.rem_min[depth + 1], &free) {
+                continue;
             }
-            if self.place(depth + 1) {
-                return true;
+            let marks = (self.pool.len(), self.ranges.len());
+            if self.narrow(depth, frame, &cand) {
+                self.chosen_idx.push(idx);
+                for (u, c) in self.used.iter_mut().zip(cover) {
+                    *u += c;
+                }
+                if self.place(depth + 1) {
+                    return true;
+                }
+                for (u, c) in self.used.iter_mut().zip(cover) {
+                    *u -= c;
+                }
+                self.chosen_idx.pop();
             }
-            for (u, c) in self.used.iter_mut().zip(cover) {
-                *u -= c;
-            }
-            self.chosen_idx.pop();
             self.pool.truncate(marks.0);
             self.ranges.truncate(marks.1);
             if self.timed_out {
@@ -628,8 +636,9 @@ impl Search<'_> {
 
     /// Pushes the frame of depth `depth + 1`: the domains of slots
     /// `depth + 1..` in `frame` without the candidates overlapping
-    /// `placed`.
-    fn narrow(&mut self, depth: usize, frame: usize, placed: &Rect) {
+    /// `placed`. Stops and returns `false` at the first domain that comes
+    /// out empty, leaving the frame partly pushed for the caller to pop.
+    fn narrow(&mut self, depth: usize, frame: usize, placed: &Rect) -> bool {
         for k in depth + 1..self.slots.len() {
             let (from, to) = self.ranges[frame + k - depth];
             let cands = &self.slots[k].cands;
@@ -640,8 +649,12 @@ impl Search<'_> {
                     self.pool.push(j);
                 }
             }
+            if self.pool.len() as u32 == start {
+                return false;
+            }
             self.ranges.push((start, self.pool.len() as u32));
         }
+        true
     }
 }
 
@@ -730,6 +743,46 @@ mod tests {
         let demand = ResourceVec::new(0, 11, 0);
         let out = planner().solve(&geom(), &[demand, demand, demand], &never());
         assert_eq!(out, FloorplanOutcome::Infeasible);
+    }
+
+    #[test]
+    fn forward_checking_prunes_before_descending() {
+        // One row of C B C C C, two rows high. Slots in search order:
+        // 200 CLB (four CLB cells), 50 CLB + 10 BRAM, 150 CLB (three CLB
+        // cells). The first slot's preferred candidate, columns 2..4 on
+        // both rows, leaves the third region no three CLB cells in a row,
+        // and every greedy pass fails, so the exact search decides.
+        let g = FabricGeometry::from_pattern(
+            &[
+                FabricColumn::Clb,
+                FabricColumn::Bram,
+                FabricColumn::Clb,
+                FabricColumn::Clb,
+                FabricColumn::Clb,
+            ],
+            1,
+            2,
+        );
+        let demands = [
+            ResourceVec::new(200, 0, 0),
+            ResourceVec::new(50, 10, 0),
+            ResourceVec::new(150, 0, 0),
+        ];
+        let solved = planner().solve_counted(&g, &demands, &never());
+        assert_eq!(
+            solved.outcome,
+            FloorplanOutcome::Feasible(vec![
+                Rect::new(0, 5, 0, 1),
+                Rect::new(0, 2, 1, 2),
+                Rect::new(2, 5, 1, 2),
+            ])
+        );
+        // Attempts, pruned ones included: the preferred candidate is
+        // pruned without descending (1); the second one, columns 3..5 on
+        // both rows, is entered and all 6 second-slot candidates are
+        // pruned under it (1 + 6); the third leads straight to the
+        // witness (3).
+        assert_eq!(solved.nodes, 11);
     }
 
     #[test]

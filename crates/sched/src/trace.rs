@@ -231,7 +231,8 @@ pub struct PhaseTrace {
     /// Cold floorplan solves that gave up undecided: the node budget ran
     /// out, or the token or the time limit fired.
     pub fp_timeouts: u64,
-    /// DFS nodes the cold floorplan solves visited.
+    /// DFS nodes the cold floorplan solves used: placement attempts, see
+    /// `prfpga_floorplan::NODE_BUDGET`.
     pub fp_nodes: u64,
     /// Lane reservations committed by the last pipeline run's timeline
     /// kernel (core occupancies plus controller windows).
