@@ -8,7 +8,8 @@
 //! by [`NODE_BUDGET`], not by the clock: every decided verdict stays well
 //! inside it, and the former timeouts the bound leaves open use it up
 //! under a limit long enough that the clock never stops them. The
-//! witnesses of the Feasible verdicts are pinned by one digest.
+//! witnesses of the Feasible verdicts are pinned by one digest, and the
+//! placement attempts of every query by another.
 
 use std::time::Duration;
 
@@ -231,4 +232,22 @@ fn feasible_witnesses_are_pinned() {
     }
     assert_eq!(witnesses, 100);
     assert_eq!(hash, WITNESS_DIGEST, "witness digest {hash}");
+}
+
+/// Digest of every fixture query's placement attempts, in fixture order:
+/// each count as a little-endian `u64`.
+const ATTEMPT_DIGEST: u64 = 13043909402906435004;
+
+/// The search's trajectory, not only its verdicts and witnesses, is
+/// pinned: a change to how domains are stored or narrowed must make the
+/// same attempts, so every query reports the same count.
+#[test]
+fn attempt_counts_are_pinned() {
+    let planner = planner(Duration::from_secs(600));
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for (_, demands) in queries() {
+        let (_, stats) = counted_solve(&planner, &demands);
+        hash = fnv1a(hash, &stats.nodes.to_le_bytes());
+    }
+    assert_eq!(hash, ATTEMPT_DIGEST, "attempt digest {hash}");
 }
