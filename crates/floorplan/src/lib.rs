@@ -26,7 +26,10 @@
 //!    a node is one placement attempt. Every attempt re-checks the segment
 //!    bound against the segments it would leave free, then narrows each
 //!    unplaced region's domain of free candidates, and is undone without
-//!    descending when some domain comes out empty (forward checking).
+//!    descending when some domain comes out empty (forward checking). A
+//!    domain is a bitset over the region's sorted candidates, narrowed by
+//!    a few word-wide ANDs against per-list overlap masks that are built
+//!    only when every greedy pass has failed.
 //!
 //! The search is exact: [`FloorplanOutcome::Infeasible`] is a proof, while
 //! [`FloorplanOutcome::Timeout`] is returned when the node budget runs out
