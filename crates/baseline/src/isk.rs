@@ -119,8 +119,8 @@ impl IsKScheduler {
         // platform it keeps to fabric 0: every region it opens lands there
         // (see `PartialSchedule::into_schedule`), so capacity and
         // reconfiguration times come from that fabric, not from the
-        // platform's sum-capacity relaxation. Without a platform fabric 0
-        // is the device itself.
+        // platform's sum-capacity relaxation. On one fabric, fabric 0 is
+        // the device itself.
         let mut virtual_inst = inst.clone();
         virtual_inst.architecture.device = inst.architecture.fabric(0).clone();
 

@@ -155,16 +155,13 @@ fn generate(args: &[String]) -> Result<(), String> {
     };
     // `--platform` and `--device` both resolve through the platform
     // catalog; `--device` is the 1-fabric alias the original CLI shipped
-    // with. A 1-fabric resolution builds the classic single-device
-    // architecture (byte-identical schedules); several fabrics attach the
-    // platform.
+    // with.
     let name = match (flag(args, "--platform"), flag(args, "--device")) {
         (Some(p), _) => p,
         (None, Some(d)) => d,
         (None, None) => "xc7z020".to_string(),
     };
-    let mut platform =
-        Platform::by_name(&name).ok_or_else(|| format!("unknown platform `{name}`"))?;
+    let mut platform = Platform::by_name(&name)?;
     // Effective configuration throughput (bits per tick); defaults to the
     // 50 MB/s sustained figure of real PR runtimes, like the benchmark
     // suite. Pass --recfreq 3200 for raw datasheet ICAP bandwidth. Applies
@@ -184,11 +181,7 @@ fn generate(args: &[String]) -> Result<(), String> {
         .map(|s| s.parse().map_err(|e| format!("--cores: {e}")))
         .transpose()?
         .unwrap_or(2);
-    let architecture = if platform.num_fabrics() == 1 {
-        Architecture::new(cores, platform.fabrics.pop().expect("one fabric"))
-    } else {
-        Architecture::on_platform(cores, platform)
-    };
+    let architecture = Architecture::on_platform(cores, platform);
 
     // Optional communication costs: --comm <max> samples each edge cost
     // uniformly from [max/10, max] ticks (0 = the paper's base model).
@@ -211,14 +204,13 @@ fn generate(args: &[String]) -> Result<(), String> {
         architecture,
     );
     inst.save(&out).map_err(|e| e.to_string())?;
-    let target = match &inst.architecture.platform {
-        Some(p) => format!(
-            "{} ({} fabrics, crossing {} ticks)",
-            p.name,
-            p.num_fabrics(),
-            p.crossing_latency
+    let p = &inst.architecture.platform;
+    let target = match p.num_fabrics() {
+        1 => p.name.clone(),
+        n => format!(
+            "{} ({n} fabrics, crossing {} ticks)",
+            p.name, p.crossing_latency
         ),
-        None => inst.architecture.device.name.clone(),
     };
     println!(
         "wrote instance `{}` on {target}: {} tasks, {} edges, {} implementations -> {out}",
@@ -279,16 +271,11 @@ fn schedule(args: &[String]) -> Result<(), String> {
                 time_budget: Duration::from_millis(budget_ms),
                 ..Default::default()
             });
-            if threads > 1 {
-                par.schedule_parallel(&inst, threads, &cancel)
-                    .map_err(|e| e.to_string())?
-            } else {
-                let r = par
-                    .schedule_with_cancel_in(&inst, &cancel, &mut SchedWorkspace::new())
-                    .map_err(|e| e.to_string())?;
-                degraded = r.degraded;
-                r.schedule
-            }
+            let r = par
+                .schedule_parallel(&inst, threads, &cancel)
+                .map_err(|e| e.to_string())?;
+            degraded = r.degraded;
+            r.schedule
         }
         "is1" => {
             IsKScheduler::new(IsKConfig::is1())

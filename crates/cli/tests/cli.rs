@@ -215,3 +215,58 @@ fn chain_topology_generation() {
     assert_eq!(parsed["graph"]["edges"].as_array().unwrap().len(), 7);
     let _ = std::fs::remove_file(&inst);
 }
+
+/// A platform with no fabrics, and a `device` that is not its platform's
+/// relaxation, are load-time errors for every algorithm, not panics or
+/// schedules against a second copy of the target.
+#[test]
+fn inconsistent_platforms_are_rejected() {
+    use prfpga_model::ProblemInstance;
+
+    let path = tmp("platform.json");
+    let out = bin()
+        .args([
+            "generate",
+            "--tasks",
+            "60",
+            "--seed",
+            "4",
+            "--platform",
+            "dual-zedboard",
+            "--out",
+        ])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let inst = ProblemInstance::load(&path).unwrap();
+
+    let mut no_fabrics = inst.clone();
+    no_fabrics.architecture.platform.fabrics.clear();
+    for t in &mut no_fabrics.graph.tasks {
+        t.impls.retain(|&i| inst.impls.get(i).is_software());
+    }
+    let mut inflated = inst.clone();
+    inflated.architecture.device.max_res = inst.architecture.device.max_res.scale_frac_floor(3, 2);
+    let mut first_fabric = inst.clone();
+    first_fabric.architecture.device = inst.architecture.fabric(0).clone();
+
+    for (bad, expected) in [
+        (no_fabrics, "no fabrics"),
+        (inflated, "relaxation"),
+        (first_fabric, "relaxation"),
+    ] {
+        bad.save(&path).unwrap();
+        for algo in ["pa", "par", "is1", "heft", "portfolio"] {
+            let out = bin()
+                .args(["schedule", "--algo", algo, "--budget-ms", "50", "--input"])
+                .arg(&path)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{algo}: {stderr}");
+            assert!(stderr.contains(expected), "{algo}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -2,9 +2,7 @@
 
 use std::time::Duration;
 
-use prfpga_model::{
-    Architecture, CancelToken, Device, FabricGeometry, Platform, Region, ResourceVec,
-};
+use prfpga_model::{Architecture, CancelToken, Device, FabricGeometry, Region, ResourceVec};
 
 use crate::candidates::for_each_minimal_run;
 use crate::occupancy::{order_key, rect_of_key, Columns, Cover, Occupancy, DIMS};
@@ -88,11 +86,14 @@ impl Floorplanner {
     }
 
     /// Answers the scheduler's question for a schedule's `regions` on
-    /// `arch`: do they admit a disjoint placement? On a platform each
-    /// region places on its own fabric ([`check_platform`]); otherwise all
-    /// of them place on the lone device ([`check_device`]).
+    /// `arch`: do they admit a disjoint placement? Each region places on
+    /// its own fabric, each fabric solved independently on its own
+    /// geometry ([`check_device`]). Any infeasible fabric makes the whole
+    /// set infeasible, any timeout propagates, and witnesses are stitched
+    /// back into one rectangle per region (dropped when an occupied fabric
+    /// has no geometry). On one fabric this is [`check_device`] on that
+    /// fabric.
     ///
-    /// [`check_platform`]: Self::check_platform
     /// [`check_device`]: Self::check_device
     pub fn check(
         &self,
@@ -121,25 +122,6 @@ impl Floorplanner {
             Some(geom) => self.solve(geom, demands, cancel),
             None => FloorplanOutcome::Feasible(vec![]),
         }
-    }
-
-    /// Per-fabric floorplanning of a platform: demand `i` must place on
-    /// fabric `fabric_of[i]`, each fabric solved independently on its own
-    /// geometry. Any infeasible fabric makes the platform infeasible, any
-    /// timeout propagates, and witnesses are stitched back into one
-    /// rectangle per region (dropped when an occupied fabric has no
-    /// geometry). On a 1-fabric platform this is verdict- and
-    /// witness-identical to [`Floorplanner::check_device`] on that fabric.
-    pub fn check_platform(
-        &self,
-        platform: &Platform,
-        demands: &[ResourceVec],
-        fabric_of: &[u32],
-        cancel: &CancelToken,
-    ) -> FloorplanOutcome {
-        check_platform_with(platform, demands, fabric_of, |device, sub| {
-            self.check_device(device, sub, cancel)
-        })
     }
 
     /// Exact search for a disjoint placement of `demands` on `geometry`.
@@ -470,57 +452,38 @@ impl Slot {
     }
 }
 
-/// Device-vs-platform dispatch shared by [`Floorplanner::check`] and
-/// [`FeasibilityCache::check`](crate::FeasibilityCache::check): `check`
-/// answers one device's demand list.
+/// Per-fabric driver shared by [`Floorplanner::check`] and
+/// [`FeasibilityCache::check`](crate::FeasibilityCache::check): runs
+/// `check` once per occupied fabric over that fabric's demands (kept in
+/// region order) and stitches the witness rectangles back into one
+/// rectangle per region. Any `Infeasible` fabric makes the set infeasible;
+/// any `Timeout` propagates; witnesses are dropped (empty vector, matching
+/// the geometry-free device contract) as soon as one occupied fabric has
+/// no geometry.
 pub(crate) fn check_with(
     arch: &Architecture,
     regions: &[Region],
     mut check: impl FnMut(&Device, &[ResourceVec]) -> FloorplanOutcome,
 ) -> FloorplanOutcome {
-    let demands: Vec<ResourceVec> = regions.iter().map(|r| r.res).collect();
-    match &arch.platform {
-        Some(p) => {
-            let fabric_of: Vec<u32> = regions.iter().map(|r| r.fabric).collect();
-            check_platform_with(p, &demands, &fabric_of, check)
-        }
-        None => check(&arch.device, &demands),
-    }
-}
-
-/// Per-fabric combination driver shared by [`Floorplanner`] and the
-/// feasibility cache: runs `check` once per fabric over that fabric's
-/// demands (kept in region order) and stitches the witness rectangles back
-/// into one rectangle per region. Any `Infeasible` fabric makes the
-/// platform infeasible; any `Timeout` propagates; witnesses are dropped
-/// (empty vector, matching the geometry-free device contract) as soon as
-/// one occupied fabric has no geometry.
-pub(crate) fn check_platform_with(
-    platform: &Platform,
-    demands: &[ResourceVec],
-    fabric_of: &[u32],
-    mut check: impl FnMut(&Device, &[ResourceVec]) -> FloorplanOutcome,
-) -> FloorplanOutcome {
-    assert_eq!(demands.len(), fabric_of.len(), "one fabric per demand");
-    let nf = platform.num_fabrics() as u32;
+    let nf = arch.num_fabrics() as u32;
     assert!(
-        fabric_of.iter().all(|&f| f < nf),
-        "demand assigned to a fabric outside the platform"
+        regions.iter().all(|r| r.fabric < nf),
+        "region assigned to a fabric outside the platform"
     );
-    let mut out = vec![Rect::new(0, 1, 0, 1); demands.len()];
+    let mut out = vec![Rect::new(0, 1, 0, 1); regions.len()];
     let mut witnesses = true;
     for f in 0..nf {
-        let idx: Vec<usize> = fabric_of
+        let idx: Vec<usize> = regions
             .iter()
             .enumerate()
-            .filter(|&(_, &g)| g == f)
+            .filter(|&(_, r)| r.fabric == f)
             .map(|(i, _)| i)
             .collect();
         if idx.is_empty() {
             continue;
         }
-        let sub: Vec<ResourceVec> = idx.iter().map(|&i| demands[i]).collect();
-        match check(&platform.fabrics[f as usize], &sub) {
+        let sub: Vec<ResourceVec> = idx.iter().map(|&i| regions[i].res).collect();
+        match check(arch.fabric(f as usize), &sub) {
             FloorplanOutcome::Feasible(rects) if rects.len() == idx.len() => {
                 for (&i, r) in idx.iter().zip(rects) {
                     out[i] = r;

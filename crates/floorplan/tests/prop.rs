@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use prfpga_floorplan::{
     FeasibilityCache, FloorplanOutcome, Floorplanner, FloorplannerConfig, DEFAULT_CACHE_CAPACITY,
 };
-use prfpga_model::{CancelToken, Device, FabricColumn, FabricGeometry, Platform, ResourceVec};
+use prfpga_model::{
+    Architecture, CancelToken, Device, FabricColumn, FabricGeometry, Region, ResourceVec,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -142,9 +144,9 @@ proptest! {
         prop_assert_eq!(cache.stats().misses, 1);
     }
 
-    /// Degeneracy: per-fabric platform solving on a 1-fabric platform is
-    /// verdict- and witness-identical to the plain device solver on that
-    /// fabric — the platform path's grouping, sub-solving and witness
+    /// Degeneracy: the architecture-level check on a single-device target
+    /// is verdict- and witness-identical to the plain device solver on
+    /// that device — the per-fabric grouping, sub-solving and witness
     /// stitching must all collapse to the identity.
     #[test]
     fn one_fabric_platform_matches_device_solver(geom in arb_geometry(),
@@ -159,10 +161,10 @@ proptest! {
         let via_device = planner().check_device(&device, &demands, &CancelToken::never());
         prop_assume!(!matches!(via_device, FloorplanOutcome::Timeout));
 
-        let platform = Platform::single(device);
-        let fabric_of = vec![0u32; demands.len()];
-        let via_platform = planner().check_platform(&platform, &demands, &fabric_of, &CancelToken::never());
-        prop_assert_eq!(via_platform, via_device);
+        let arch = Architecture::new(1, device);
+        let regions: Vec<Region> = demands.iter().map(|&res| Region { res, fabric: 0 }).collect();
+        let via_arch = planner().check(&arch, &regions, &CancelToken::never());
+        prop_assert_eq!(via_arch, via_device);
     }
 
     /// Single-region queries agree with the candidate enumeration: a lone

@@ -12,9 +12,9 @@ use crate::topology::{GraphConfig, TaskGraphGenerator};
 /// profile locally (e.g. to sweep-validate a response) is guaranteed the
 /// byte-identical instance the server scheduled.
 ///
-/// `platform` is a platform-catalog name (`None` = `xc7z020`); 1-fabric
-/// resolutions build the classic single-device architecture with the
-/// CLI's default sustained configuration throughput of 400 bits/tick.
+/// `platform` is a platform-catalog name (`None` = `xc7z020`); a 1-fabric
+/// platform gets the CLI's default sustained configuration throughput of
+/// 400 bits/tick.
 pub fn service_instance(
     tasks: usize,
     seed: u64,
@@ -22,19 +22,14 @@ pub fn service_instance(
     cores: usize,
 ) -> Result<ProblemInstance, String> {
     let name = platform.unwrap_or("xc7z020");
-    let mut platform =
-        Platform::by_name(name).ok_or_else(|| format!("unknown platform `{name}`"))?;
-    let architecture = if platform.num_fabrics() == 1 {
-        let mut device = platform.fabrics.pop().expect("one fabric");
-        device.rec_freq = 400;
-        Architecture::new(cores, device)
-    } else {
-        Architecture::on_platform(cores, platform)
-    };
+    let mut platform = Platform::by_name(name)?;
+    if platform.num_fabrics() == 1 {
+        platform.fabrics[0].rec_freq = 400;
+    }
     Ok(TaskGraphGenerator::new(seed).generate(
         &format!("svc_t{tasks}_s{seed}"),
         &GraphConfig::standard(tasks),
-        architecture,
+        Architecture::on_platform(cores, platform),
     ))
 }
 

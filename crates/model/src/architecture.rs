@@ -1,6 +1,8 @@
 //! Target architecture: processor cores plus one or more reconfigurable
 //! fabrics.
 
+use serde::de::Error;
+use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::device::Device;
@@ -9,64 +11,64 @@ use crate::resources::ResourceVec;
 use crate::time::Time;
 
 /// The SoC the application is scheduled onto: `|P|` homogeneous processor
-/// cores tightly coupled with a partially-reconfigurable FPGA, served by a
-/// single reconfiguration controller (so reconfigurations are serialized).
+/// cores tightly coupled with one or more partially-reconfigurable fabrics
+/// (a [`Platform`]), each served by its own reconfiguration controllers.
 ///
-/// The optional [`platform`](Architecture::platform) field generalizes the
-/// target to several fabrics (SLRs or separate FPGAs, see [`Platform`]);
-/// when present, `device` is the platform's single-fabric relaxation (for a
-/// 1-fabric platform, exactly that fabric) and the per-fabric accessors
-/// below expose the real capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The paper's target is the 1-fabric case, which [`Architecture::new`]
+/// builds from a lone [`Device`]. Every scheduler, the floorplanner and
+/// the validator run one code path for every fabric count.
+///
+/// In JSON the `platform` key is omitted when it equals
+/// `Platform::single(device)`, and a missing key loads as exactly that, so
+/// single-device instance files carry no platform at all.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     /// Number of homogeneous processor cores (`|P|`); the paper's target
     /// (Zynq-7000) has two ARM Cortex-A9 cores. Cores form one shared host
     /// pool regardless of fabric count — software tasks never pay the
     /// inter-fabric crossing latency.
     pub num_processors: usize,
-    /// The reconfigurable device. With a multi-fabric `platform` this is
-    /// the sum-capacity relaxation used for coarse bounds; per-fabric code
-    /// paths go through [`Architecture::fabrics`].
+    /// The platform's single-fabric relaxation
+    /// ([`Platform::relaxation_device`]): on one fabric the fabric itself,
+    /// on several the sum-capacity device used for implementation
+    /// selection and coarse bounds. [`ProblemInstance::validate`] rejects
+    /// any other value. Per-fabric code goes through
+    /// [`Architecture::fabrics`].
+    ///
+    /// [`ProblemInstance::validate`]: crate::ProblemInstance::validate
     pub device: Device,
     /// Number of reconfiguration controllers *per fabric*. The paper (and
     /// every real Zynq) has exactly one; its ref. \[8\] generalizes to
     /// several, and the schedulers and validator here support that
     /// generalization. Values above 1 let that many reconfigurations
     /// proceed concurrently on each fabric.
-    #[serde(default = "default_controllers")]
     pub num_reconfig_controllers: usize,
-    /// Multi-fabric platform; `None` is the classic single-device path
-    /// (instances serialized before this field existed deserialize to
-    /// `None`).
-    pub platform: Option<Platform>,
-}
-
-fn default_controllers() -> usize {
-    1
+    /// The fabrics and their crossing latency.
+    pub platform: Platform,
 }
 
 impl Architecture {
-    /// Builds an architecture with a single reconfiguration controller
-    /// (the paper's model).
+    /// Builds the paper's single-device architecture with a single
+    /// reconfiguration controller: `device` is the lone fabric of a
+    /// [`Platform::single`].
     pub fn new(num_processors: usize, device: Device) -> Self {
         Architecture {
             num_processors,
+            platform: Platform::single(device.clone()),
             device,
             num_reconfig_controllers: 1,
-            platform: None,
         }
     }
 
     /// Builds an architecture targeting a [`Platform`]; `device` becomes
-    /// the platform's relaxation (for 1 fabric, the fabric itself, so the
-    /// schedulers behave byte-identically to [`Architecture::new`] on that
-    /// device).
+    /// the platform's relaxation, so `on_platform(p, Platform::single(d))`
+    /// equals `new(p, d)`.
     pub fn on_platform(num_processors: usize, platform: Platform) -> Self {
         Architecture {
             num_processors,
             device: platform.relaxation_device(),
             num_reconfig_controllers: 1,
-            platform: Some(platform),
+            platform,
         }
     }
 
@@ -76,23 +78,16 @@ impl Architecture {
         self
     }
 
-    /// Number of fabrics (1 when no platform is attached).
+    /// Number of fabrics.
     #[inline]
     pub fn num_fabrics(&self) -> usize {
-        match &self.platform {
-            Some(p) => p.num_fabrics(),
-            None => 1,
-        }
+        self.platform.num_fabrics()
     }
 
-    /// The fabrics, as a slice of devices: the platform's fabrics, or the
-    /// lone `device` when no platform is attached.
+    /// The fabrics, as a slice of devices.
     #[inline]
     pub fn fabrics(&self) -> &[Device] {
-        match &self.platform {
-            Some(p) => &p.fabrics,
-            None => std::slice::from_ref(&self.device),
-        }
+        &self.platform.fabrics
     }
 
     /// The device describing fabric `f`.
@@ -101,25 +96,29 @@ impl Architecture {
         &self.fabrics()[f]
     }
 
-    /// Latency added to data edges crossing fabrics (0 without a platform —
-    /// and with a single fabric no edge can cross).
+    /// Latency added to data edges crossing fabrics (0 on one fabric,
+    /// where no edge can cross).
     #[inline]
     pub fn crossing_latency(&self) -> Time {
-        match &self.platform {
-            Some(p) => p.crossing_latency,
-            None => 0,
-        }
+        self.platform.crossing_latency
     }
 
-    /// The largest hardware implementation the target accepts: on a
-    /// platform, the componentwise minimum over fabric capacities (so every
+    /// The largest hardware implementation the target accepts: the
+    /// componentwise minimum over fabric capacities, so every
     /// implementation fits on every fabric and partitioning is never
-    /// cornered); otherwise the device capacity.
+    /// cornered.
     pub fn impl_capacity(&self) -> ResourceVec {
-        match &self.platform {
-            Some(p) => p.min_fabric_capacity(),
-            None => self.device.max_res,
-        }
+        self.platform.min_fabric_capacity()
+    }
+
+    /// True when `platform` is `Platform::single(device)`, the form the
+    /// JSON encoding leaves implicit.
+    fn is_single_device(&self) -> bool {
+        let p = &self.platform;
+        p.crossing_latency == 0
+            && p.name == self.device.name
+            && p.fabrics.len() == 1
+            && p.fabrics[0] == self.device
     }
 
     /// The paper's evaluation platform: ZedBoard (dual Cortex-A9 + XC7Z020)
@@ -142,6 +141,53 @@ impl Architecture {
     }
 }
 
+impl Serialize for Architecture {
+    fn to_value(&self) -> Value {
+        let mut map = Map::new();
+        map.insert("num_processors", self.num_processors.to_value());
+        map.insert("device", self.device.to_value());
+        map.insert(
+            "num_reconfig_controllers",
+            self.num_reconfig_controllers.to_value(),
+        );
+        if !self.is_single_device() {
+            map.insert("platform", self.platform.to_value());
+        }
+        Value::Object(map)
+    }
+}
+
+/// Decodes the derived shape with two defaults: a missing
+/// `num_reconfig_controllers` is 1, and a missing or `null` `platform` is
+/// `Platform::single(device)`.
+impl Deserialize for Architecture {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| Error::expected("object", "Architecture", v))?;
+        fn field<T: Deserialize>(obj: &Map, name: &str) -> Result<Option<T>, Error> {
+            obj.get(name)
+                .map(|x| T::from_value(x).map_err(|e| e.contextualize(name)))
+                .transpose()
+        }
+        let missing = |name| Error::missing_field(name, "Architecture");
+        let num_processors =
+            field(obj, "num_processors")?.ok_or_else(|| missing("num_processors"))?;
+        let device: Device = field(obj, "device")?.ok_or_else(|| missing("device"))?;
+        let num_reconfig_controllers = field(obj, "num_reconfig_controllers")?.unwrap_or(1);
+        let platform = match obj.get("platform") {
+            None | Some(Value::Null) => Platform::single(device.clone()),
+            Some(p) => Platform::from_value(p).map_err(|e| e.contextualize("platform"))?,
+        };
+        Ok(Architecture {
+            num_processors,
+            device,
+            num_reconfig_controllers,
+            platform,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,18 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn single_fabric_platform_matches_bare_device() {
-        let bare = Architecture::zedboard();
-        let wrapped = Architecture::on_platform(2, Platform::single(Device::xc7z020()));
-        // The relaxation of a 1-fabric platform is the fabric itself.
-        assert_eq!(wrapped.device, bare.device);
-        assert_eq!(wrapped.num_fabrics(), 1);
-        assert_eq!(wrapped.fabric(0), &bare.device);
-        assert_eq!(wrapped.crossing_latency(), 0);
-        assert_eq!(wrapped.impl_capacity(), bare.device.max_res);
-    }
-
-    #[test]
     fn multi_fabric_accessors() {
         let a = Architecture::on_platform(2, Platform::dual_zedboard());
         assert_eq!(a.num_fabrics(), 2);
@@ -182,14 +216,30 @@ mod tests {
     }
 
     #[test]
-    fn missing_platform_field_deserializes_to_none() {
-        // An instance serialized before the platform field existed: strip
-        // the trailing `"platform":null` from a compact serialization.
+    fn missing_platform_field_loads_as_the_single_device_platform() {
+        // Single-device instances carry no `platform` key; it loads as the
+        // device wrapped as a 1-fabric platform.
         let json = serde_json::to_string(&Architecture::zedboard()).unwrap();
-        let legacy = json.replace(",\"platform\":null", "");
-        assert_ne!(json, legacy, "expected to strip the platform field");
-        let a: Architecture = serde_json::from_str(&legacy).unwrap();
-        assert!(a.platform.is_none());
+        assert!(!json.contains("platform"), "implicit platform is omitted");
+        let a: Architecture = serde_json::from_str(&json).unwrap();
+        assert_eq!(a.platform, Platform::single(Device::xc7z020()));
         assert_eq!(a, Architecture::zedboard());
+        // An explicit `null` (the encoding of earlier releases) too.
+        let legacy = format!("{},\"platform\":null}}", &json[..json.len() - 1]);
+        let b: Architecture = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(b, a);
+        assert_eq!(
+            Architecture::new(2, Device::xc7z020()),
+            Architecture::on_platform(2, Platform::single(Device::xc7z020()))
+        );
+    }
+
+    #[test]
+    fn multi_fabric_platform_roundtrips_through_json() {
+        let a = Architecture::on_platform(3, Platform::alveo_u250()).with_reconfig_controllers(2);
+        let json = serde_json::to_string(&a).unwrap();
+        assert!(json.contains("\"platform\":{"));
+        let back: Architecture = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, a);
     }
 }

@@ -48,6 +48,12 @@ pub enum ModelError {
     },
     /// The architecture has no processor cores, so software tasks cannot run.
     NoProcessors,
+    /// The architecture's platform has no fabrics.
+    NoFabrics,
+    /// The architecture's `device` differs from its platform's
+    /// single-fabric relaxation, so it is a second, conflicting copy of
+    /// the target.
+    DeviceNotRelaxation,
     /// A fabric geometry has more than [`FabricGeometry::MAX_DIM`] columns
     /// or rows.
     ///
@@ -86,6 +92,11 @@ impl fmt::Display for ModelError {
                 "hardware implementation {impl_id} of task {task} exceeds device capacity"
             ),
             ModelError::NoProcessors => write!(f, "architecture has no processor cores"),
+            ModelError::NoFabrics => write!(f, "architecture platform has no fabrics"),
+            ModelError::DeviceNotRelaxation => write!(
+                f,
+                "architecture device is not the relaxation of its platform"
+            ),
             ModelError::GeometryTooLarge { columns, rows } => write!(
                 f,
                 "fabric geometry of {columns} columns by {rows} rows exceeds {} of either",

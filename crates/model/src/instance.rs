@@ -50,13 +50,24 @@ impl ProblemInstance {
     /// * no hardware implementation exceeds every fabric's capacity (it
     ///   must fit on at least one fabric; on a single-device target that is
     ///   the device capacity);
-    /// * at least one processor core exists.
+    /// * at least one processor core exists;
+    /// * the platform has at least one fabric, and `device` is its
+    ///   relaxation ([`Platform::relaxation_device`]).
+    ///
+    /// [`Platform::relaxation_device`]: crate::Platform::relaxation_device
     pub fn validate(&self) -> Result<(), ModelError> {
-        if self.architecture.num_processors == 0 {
+        let arch = &self.architecture;
+        if arch.num_processors == 0 {
             return Err(ModelError::NoProcessors);
         }
+        if arch.platform.fabrics.is_empty() {
+            return Err(ModelError::NoFabrics);
+        }
+        if arch.device != arch.platform.relaxation_device() {
+            return Err(ModelError::DeviceNotRelaxation);
+        }
         self.graph.validate_structure()?;
-        let fabrics = self.architecture.fabrics();
+        let fabrics = arch.fabrics();
         let max = FabricGeometry::MAX_DIM as usize;
         for g in fabrics.iter().filter_map(|d| d.geometry.as_ref()) {
             if g.columns.len() > max || g.rows as usize > max {
@@ -275,12 +286,43 @@ mod tests {
     fn rejects_oversized_geometry() {
         let mut inst = tiny_instance();
         let rows = FabricGeometry::MAX_DIM + 1;
-        inst.architecture.device.geometry = Some(FabricGeometry::from_pattern(
+        let mut device = inst.architecture.device.clone();
+        device.geometry = Some(FabricGeometry::from_pattern(
             &[crate::device::FabricColumn::Clb],
             1,
             rows,
         ));
+        inst.architecture = Architecture::new(1, device);
         let err = inst.validate().unwrap_err();
         assert!(matches!(err, ModelError::GeometryTooLarge { columns: 1, rows: r } if r == rows));
+    }
+
+    #[test]
+    fn rejects_a_platform_without_fabrics() {
+        let mut inst = tiny_instance();
+        inst.architecture.platform.fabrics.clear();
+        assert!(matches!(inst.validate(), Err(ModelError::NoFabrics)));
+        // Through the JSON loader too.
+        let err = ProblemInstance::from_json(&inst.to_json()).unwrap_err();
+        assert!(matches!(err, ModelError::NoFabrics));
+    }
+
+    #[test]
+    fn rejects_a_device_that_is_not_the_platform_relaxation() {
+        let mut inflated = tiny_instance();
+        inflated.architecture.device.max_res = ResourceVec::new(100, 10, 10);
+        assert!(matches!(
+            inflated.validate(),
+            Err(ModelError::DeviceNotRelaxation)
+        ));
+
+        // A multi-fabric platform whose `device` is its first fabric
+        // rather than the summed relaxation.
+        let mut inst = tiny_instance();
+        inst.architecture = Architecture::on_platform(1, crate::Platform::dual_zedboard());
+        inst.validate().expect("relaxation device is valid");
+        inst.architecture.device = inst.architecture.fabric(0).clone();
+        let err = ProblemInstance::from_json(&inst.to_json()).unwrap_err();
+        assert!(matches!(err, ModelError::DeviceNotRelaxation));
     }
 }

@@ -18,9 +18,10 @@
 //! on *different* fabrics ([`Platform::crossing_latency`]). Tasks on
 //! processor cores live in a shared host pool and never pay the crossing.
 //!
-//! A 1-fabric platform is exactly the classic single-device model: every
-//! scheduler code path degenerates to the same arithmetic, which
-//! `tests/differential.rs` pins byte-for-byte.
+//! A 1-fabric platform is exactly the paper's single-device model, and
+//! every [`Architecture`](crate::Architecture) carries a platform: the
+//! schedulers, the floorplanner and the validator run one code path for
+//! every fabric count.
 
 use serde::{Deserialize, Serialize};
 
@@ -204,17 +205,18 @@ impl Platform {
     /// Looks up a platform by name. Multi-fabric catalog names
     /// (`alveo-u250`, `dual-zedboard`, `_` and `-` interchangeable) resolve
     /// to the catalog entries; single-device catalog names (`xc7z010`,
-    /// `xc7z020`, `xc7z045`) resolve to 1-fabric wraps.
-    pub fn by_name(name: &str) -> Option<Platform> {
+    /// `xc7z020`, `xc7z045`) resolve to 1-fabric wraps. Any other name is
+    /// an `unknown platform` error.
+    pub fn by_name(name: &str) -> Result<Platform, String> {
         let canon = name.to_ascii_lowercase().replace('_', "-");
-        match canon.as_str() {
-            "alveo-u250" | "u250" => Some(Platform::alveo_u250()),
-            "dual-zedboard" => Some(Platform::dual_zedboard()),
-            "xc7z010" => Some(Platform::single(Device::xc7z010())),
-            "xc7z020" | "zedboard" => Some(Platform::single(Device::xc7z020())),
-            "xc7z045" => Some(Platform::single(Device::xc7z045())),
-            _ => None,
-        }
+        Ok(match canon.as_str() {
+            "alveo-u250" | "u250" => Platform::alveo_u250(),
+            "dual-zedboard" => Platform::dual_zedboard(),
+            "xc7z010" => Platform::single(Device::xc7z010()),
+            "xc7z020" | "zedboard" => Platform::single(Device::xc7z020()),
+            "xc7z045" => Platform::single(Device::xc7z045()),
+            _ => return Err(format!("unknown platform `{name}`")),
+        })
     }
 }
 
@@ -284,7 +286,10 @@ mod tests {
         let single = Platform::by_name("xc7z020").unwrap();
         assert_eq!(single.num_fabrics(), 1);
         assert_eq!(single.fabrics[0].name, "xc7z020");
-        assert!(Platform::by_name("nonesuch").is_none());
+        assert_eq!(
+            Platform::by_name("nonesuch"),
+            Err("unknown platform `nonesuch`".to_string())
+        );
     }
 
     #[test]

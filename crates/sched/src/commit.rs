@@ -89,7 +89,7 @@ mod tests {
     fn batch_commit_journals_each_reconfiguration() {
         let (inst, choice) = chain_state();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice.clone()).unwrap();
+        let mut st = SchedState::new(&inst, w, choice.clone()).unwrap();
         let recorder = std::sync::Arc::new(TraceRecorder::new());
         st.observer = ObserverHandle::new(recorder.clone());
         st.open_region(TaskId(0), choice[0]);

@@ -7,7 +7,9 @@ use std::time::{Duration, Instant};
 use prfpga_floorplan::{
     FeasibilityCache, FloorplanOutcome, Floorplanner, Rect, DEFAULT_CACHE_CAPACITY,
 };
-use prfpga_model::{CancelToken, Device, Platform, ProblemInstance, ResourceVec, Schedule};
+use prfpga_model::{
+    Architecture, CancelToken, Device, Platform, ProblemInstance, ResourceVec, Schedule,
+};
 
 use prfpga_model::ImplId;
 
@@ -33,6 +35,49 @@ pub(crate) struct ImplSelectMemo {
     /// Capacity the entry was computed against, plus the derived weights.
     cached: Option<(ResourceVec, MetricWeights)>,
     choice: Vec<ImplId>,
+}
+
+/// The virtual capacity ratchet shared by PA and PA-R (§V-H): the target
+/// the pipeline schedules against, shrunk after floorplan-infeasible
+/// candidates. The relaxation device (phase A's capacity) and the platform
+/// (the per-fabric capacity checks) shrink in lockstep; bit costs,
+/// throughput and geometry never change, so timing and floorplanning still
+/// see the real fabrics. Each loop owns one target and clones no device
+/// per attempt.
+#[derive(Debug, Clone)]
+pub struct VirtualTarget {
+    /// The architecture's relaxation device at the current capacity.
+    pub device: Device,
+    /// The architecture's platform at the current capacity.
+    pub platform: Platform,
+    shrinks_left: usize,
+}
+
+impl VirtualTarget {
+    /// `arch` at full capacity; the scheduling loop may shrink it at most
+    /// `max_shrinks` times.
+    pub fn new(arch: &Architecture, max_shrinks: usize) -> Self {
+        VirtualTarget {
+            device: arch.device.clone(),
+            platform: arch.platform.clone(),
+            shrinks_left: max_shrinks,
+        }
+    }
+
+    /// Scales every capacity by `num/den` while shrinks remain.
+    pub(crate) fn shrink(&mut self, (num, den): (u64, u64)) {
+        if self.shrinks_left > 0 {
+            self.device.scale_capacity_in_place(num, den);
+            self.platform.scale_capacity_in_place(num, den);
+            self.shrinks_left -= 1;
+        }
+    }
+
+    /// Zeroes every capacity: the all-software fallback.
+    fn zero(&mut self) {
+        self.device.max_res = ResourceVec::ZERO;
+        self.platform.zero_capacity_in_place();
+    }
 }
 
 /// Result of a PA run, with the timing split reported in the paper's
@@ -121,12 +166,8 @@ impl PaScheduler {
         inst.validate()
             .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
 
-        // One owned device, ratcheted down in place — the restart loop does
-        // not clone name/geometry per attempt. On platform instances a
-        // virtual platform shadows it in lockstep, so the per-fabric
-        // capacity checks shrink together with the relaxation device.
-        let mut virtual_device = inst.architecture.device.clone();
-        let mut virtual_platform = inst.architecture.platform.clone();
+        let max_attempts = self.config.max_attempts.max(1);
+        let mut target = VirtualTarget::new(&inst.architecture, max_attempts);
         let mut scheduling_time = Duration::ZERO;
         let mut floorplanning_time = Duration::ZERO;
         let recorder = Arc::new(TraceRecorder::new());
@@ -140,19 +181,17 @@ impl PaScheduler {
 
         // No phase-A memo here: the restart loop shrinks the capacity on
         // every retry, so no two attempts share a phase-A input.
-        let run_pipeline =
-            |ws: &mut SchedWorkspace, device: &Device, platform: Option<&Platform>| {
-                do_schedule_in(
-                    ws,
-                    inst,
-                    device,
-                    platform,
-                    &self.config,
-                    self.config.ordering,
-                    &observer,
-                    None,
-                )
-            };
+        let run_pipeline = |ws: &mut SchedWorkspace, target: &VirtualTarget| {
+            do_schedule_in(
+                ws,
+                inst,
+                target,
+                &self.config,
+                self.config.ordering,
+                &observer,
+                None,
+            )
+        };
         let report_stats = |ws: &SchedWorkspace| {
             observer.workspace_stats(ws.reuses(), cache.stats());
             observer.cancel_stats(cancel.polls() - polls0, cancel.deadline_hits() - hits0);
@@ -163,7 +202,7 @@ impl PaScheduler {
         let mut runs = 0usize;
         let mut degraded = false;
         'search: {
-            for attempt in 1..=self.config.max_attempts.max(1) {
+            for attempt in 1..=max_attempts {
                 if cancel.is_cancelled() {
                     degraded = true;
                     break 'search;
@@ -171,7 +210,7 @@ impl PaScheduler {
                 observer.pipeline_started(attempt);
                 runs = attempt;
                 let t0 = Instant::now();
-                let schedule = run_pipeline(ws, &virtual_device, virtual_platform.as_ref());
+                let schedule = run_pipeline(ws, &target);
                 scheduling_time += t0.elapsed();
 
                 // Poll before paying for the floorplanner: a deadline that
@@ -185,8 +224,8 @@ impl PaScheduler {
                 // Memoized feasibility: within one call only Infeasible
                 // verdicts can repeat (a Feasible one would have ended the
                 // loop), so any Feasible witness returned below comes from a
-                // cold solve. Platform instances place each fabric's regions
-                // against that fabric's own device.
+                // cold solve. Each fabric's regions place against that
+                // fabric's own device.
                 let outcome = cache.check(&inst.architecture, &schedule.regions, cancel);
                 let fp_elapsed = t1.elapsed();
                 floorplanning_time += fp_elapsed;
@@ -211,11 +250,7 @@ impl PaScheduler {
                     degraded = true;
                     break 'search;
                 }
-                let (num, den) = self.config.shrink_factor;
-                virtual_device.scale_capacity_in_place(num, den);
-                if let Some(p) = virtual_platform.as_mut() {
-                    p.scale_capacity_in_place(num, den);
-                }
+                target.shrink(self.config.shrink_factor);
             }
         }
 
@@ -226,11 +261,8 @@ impl PaScheduler {
         let attempts = runs + 1;
         observer.pipeline_started(attempts);
         let t0 = Instant::now();
-        virtual_device.max_res = ResourceVec::ZERO;
-        if let Some(p) = virtual_platform.as_mut() {
-            p.zero_capacity_in_place();
-        }
-        let schedule = run_pipeline(ws, &virtual_device, virtual_platform.as_ref());
+        target.zero();
+        let schedule = run_pipeline(ws, &target);
         scheduling_time += t0.elapsed();
         debug_assert!(schedule.regions.is_empty());
         report_stats(ws);
@@ -247,7 +279,7 @@ impl PaScheduler {
 }
 
 /// One run of the scheduling pipeline (phases A–G) against a virtual
-/// device capacity; shared by PA and PA-R (`doSchedule` in Algorithm 1).
+/// target; shared by PA and PA-R (`doSchedule` in Algorithm 1).
 /// `ws` supplies every heap structure of the run and receives them back
 /// afterwards, so a loop threading one workspace through repeated calls is
 /// allocation-free in the steady state.
@@ -256,27 +288,16 @@ impl PaScheduler {
 /// core (phases A–F, no timeline reservations), then phase G's timing
 /// realization is applied as one journaled batch commit — the seam the
 /// online repair engine builds on.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn do_schedule_in(
     ws: &mut SchedWorkspace,
     inst: &ProblemInstance,
-    virtual_device: &Device,
-    virtual_platform: Option<&Platform>,
+    target: &VirtualTarget,
     config: &SchedulerConfig,
     ordering: OrderingPolicy,
     observer: &ObserverHandle,
     memo: Option<&mut ImplSelectMemo>,
 ) -> Schedule {
-    let state = solve_in(
-        ws,
-        inst,
-        virtual_device,
-        virtual_platform,
-        config,
-        ordering,
-        observer,
-        memo,
-    );
+    let state = solve_in(ws, inst, target, config, ordering, observer, memo);
 
     // Phase G — reconfiguration scheduling / timing realization: the only
     // point where decisions become timeline reservations (the commit).
@@ -289,12 +310,10 @@ pub(crate) fn do_schedule_in(
 /// the [`SchedState`] it returns — implementation choices, regions,
 /// sequencing arcs, core mappings — and reserves nothing on the controller
 /// timeline; the caller owns the commit (phase G).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_in<'a>(
     ws: &mut SchedWorkspace,
     inst: &'a ProblemInstance,
-    virtual_device: &'a Device,
-    virtual_platform: Option<&'a Platform>,
+    target: &'a VirtualTarget,
     config: &SchedulerConfig,
     ordering: OrderingPolicy,
     observer: &ObserverHandle,
@@ -309,7 +328,7 @@ pub(crate) fn solve_in<'a>(
             if memo
                 .cached
                 .as_ref()
-                .is_some_and(|(res, _)| *res == virtual_device.max_res) =>
+                .is_some_and(|(res, _)| *res == target.device.max_res) =>
         {
             let t0 = Instant::now();
             choice.clear();
@@ -321,13 +340,13 @@ pub(crate) fn solve_in<'a>(
         memo => {
             let weights = impl_select::run_phase_into(
                 inst,
-                virtual_device,
+                &target.device,
                 config.cost_policy,
                 observer,
                 &mut choice,
             );
             if let Some(memo) = memo {
-                memo.cached = Some((virtual_device.max_res, weights.clone()));
+                memo.cached = Some((target.device.max_res, weights.clone()));
                 memo.choice.clear();
                 memo.choice.extend_from_slice(&choice);
             }
@@ -337,15 +356,14 @@ pub(crate) fn solve_in<'a>(
 
     // Phase B — critical path extraction (CPM inside the state).
     let t0 = Instant::now();
-    let mut state = SchedState::from_workspace(inst, virtual_device, weights, choice, ws)
+    let mut state = SchedState::from_workspace(inst, target, weights, choice, ws)
         .expect("instance validated by the driver");
     observer.phase_finished(Phase::CriticalPath, t0.elapsed());
     state.module_reuse = config.module_reuse;
-    state.platform = virtual_platform;
     state.observer = observer.clone();
 
-    // Fabric partition — assigns tasks to platform fabrics ahead of region
-    // formation (no-op, and untraced, without a platform).
+    // Fabric partition — assigns tasks to fabrics ahead of region
+    // formation (no-op, and untraced, on one fabric).
     partition::partition_tasks(&mut state);
 
     // Phase C — regions definition.
@@ -449,7 +467,9 @@ mod tests {
             &GraphConfig::standard(10),
             Architecture::zedboard(),
         );
-        inst.architecture.device.max_res = ResourceVec::ZERO;
+        let mut device = inst.architecture.device.clone();
+        device.max_res = ResourceVec::ZERO;
+        inst.architecture = Architecture::new(inst.architecture.num_processors, device);
         // Hardware impls no longer fit the device; validation would reject
         // them, so strip hardware implementations from the tasks.
         for t in &mut inst.graph.tasks {

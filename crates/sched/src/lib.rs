@@ -49,7 +49,7 @@ pub mod state;
 pub mod trace;
 
 pub use config::{CostPolicy, OrderingPolicy, SchedulerConfig};
-pub use driver::{PaResult, PaScheduler};
+pub use driver::{PaResult, PaScheduler, VirtualTarget};
 pub use error::SchedError;
 pub use exec::{parallel_map, ExecPolicy};
 pub use repair::{RepairConfig, RepairEngine, RepairError, RepairOutcome, RepairStats};

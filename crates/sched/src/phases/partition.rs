@@ -1,8 +1,8 @@
 //! Fabric partition: assigns every task to a fabric of the platform.
 //!
 //! Runs between phase B (CPM) and phase C (regions definition) on
-//! multi-fabric platforms; without a platform it is a no-op and the
-//! pipeline is byte-identical to the single-device path. The phase follows
+//! multi-fabric platforms; on one fabric it is a no-op, so the paper's
+//! single-device pipeline runs exactly phases A–H. The phase follows
 //! the greedy-then-refine shape of integrated partitioning/scheduling
 //! approaches (Chen et al., arXiv 1803.03748): partitioning decisions are
 //! made *before* region formation so phases C/D can enforce per-fabric
@@ -43,17 +43,15 @@ use crate::trace::Phase;
 const REFINE_PASSES: usize = 3;
 
 /// Assigns every task a fabric in `state.fabric_of`. No-op (and untraced)
-/// without a platform; trivially all-zeros on a 1-fabric platform.
+/// on one fabric, where `fabric_of` stays all zeros.
 pub fn partition_tasks(state: &mut SchedState<'_>) {
-    let Some(platform) = state.platform else {
+    let nf = state.num_fabrics();
+    if nf == 1 {
         return;
-    };
-    let t0 = Instant::now();
-    let nf = platform.num_fabrics();
-    if nf > 1 {
-        seed_bands(state, nf);
-        refine(state, nf);
     }
+    let t0 = Instant::now();
+    seed_bands(state, nf);
+    refine(state, nf);
     state
         .observer
         .phase_finished(Phase::Partition, t0.elapsed());
@@ -254,24 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn no_platform_is_untouched() {
-        let mut inst = two_chain_instance(Platform::dual_zedboard());
-        inst.architecture.platform = None;
-        let device = inst.architecture.device.clone();
-        let weights = MetricWeights::new(&device.max_res, 30);
-        let mut st = SchedState::new(&inst, &device, weights, all_hw_choice(&inst)).unwrap();
-        partition_tasks(&mut st);
-        assert!(st.fabric_of.iter().all(|&f| f == 0));
-    }
-
-    #[test]
     fn single_fabric_platform_stays_all_zero() {
         let inst = two_chain_instance(Platform::single(Device::xc7z020()));
-        let device = inst.architecture.device.clone();
-        let platform = inst.architecture.platform.clone().unwrap();
-        let weights = MetricWeights::new(&device.max_res, 30);
-        let mut st = SchedState::new(&inst, &device, weights, all_hw_choice(&inst)).unwrap();
-        st.platform = Some(&platform);
+        let weights = MetricWeights::new(&inst.architecture.device.max_res, 30);
+        let mut st = SchedState::new(&inst, weights, all_hw_choice(&inst)).unwrap();
         partition_tasks(&mut st);
         assert!(st.fabric_of.iter().all(|&f| f == 0));
     }
@@ -279,11 +263,8 @@ mod tests {
     #[test]
     fn refinement_uncuts_independent_chains() {
         let inst = two_chain_instance(Platform::dual_zedboard());
-        let device = inst.architecture.device.clone();
-        let platform = inst.architecture.platform.clone().unwrap();
-        let weights = MetricWeights::new(&device.max_res, 30);
-        let mut st = SchedState::new(&inst, &device, weights, all_hw_choice(&inst)).unwrap();
-        st.platform = Some(&platform);
+        let weights = MetricWeights::new(&inst.architecture.device.max_res, 30);
+        let mut st = SchedState::new(&inst, weights, all_hw_choice(&inst)).unwrap();
         partition_tasks(&mut st);
         // Both fabrics used (the seed splits by load) and no chain is cut:
         // every edge stays intra-fabric.
@@ -301,14 +282,10 @@ mod tests {
     #[test]
     fn partition_is_deterministic() {
         let inst = two_chain_instance(Platform::alveo_u250());
-        let device = inst.architecture.device.clone();
-        let platform = inst.architecture.platform.clone().unwrap();
-        let weights = MetricWeights::new(&device.max_res, 30);
+        let weights = MetricWeights::new(&inst.architecture.device.max_res, 30);
         let mut runs = Vec::new();
         for _ in 0..2 {
-            let mut st =
-                SchedState::new(&inst, &device, weights.clone(), all_hw_choice(&inst)).unwrap();
-            st.platform = Some(&platform);
+            let mut st = SchedState::new(&inst, weights.clone(), all_hw_choice(&inst)).unwrap();
             partition_tasks(&mut st);
             runs.push(st.fabric_of.clone());
         }

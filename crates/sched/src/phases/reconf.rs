@@ -339,7 +339,7 @@ mod tests {
     fn shared_region_gets_reconfiguration_and_validates() {
         let (inst, choice) = shared_region_fixture();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice.clone()).unwrap();
+        let mut st = SchedState::new(&inst, w, choice.clone()).unwrap();
         st.open_region(TaskId(0), choice[0]);
         st.assign_to_region(TaskId(1), choice[1], 0);
         let sched = realize_schedule(&st, false);
@@ -376,7 +376,7 @@ mod tests {
         .unwrap();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
         let choice = vec![ImplId(1), ImplId(3)];
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice).unwrap();
+        let mut st = SchedState::new(&inst, w, choice).unwrap();
         st.open_region(TaskId(0), ImplId(1));
         st.open_region(TaskId(1), ImplId(3));
         let sched = realize_schedule(&st, false);
@@ -415,7 +415,7 @@ mod tests {
         )
         .unwrap();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, ids.clone()).unwrap();
+        let mut st = SchedState::new(&inst, w, ids.clone()).unwrap();
         st.open_region(TaskId(0), ids[0]);
         st.assign_to_region(TaskId(1), ids[1], 0);
         st.open_region(TaskId(2), ids[2]);
@@ -444,7 +444,7 @@ mod tests {
         )
         .unwrap();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, vec![s0]).unwrap();
+        let mut st = SchedState::new(&inst, w, vec![s0]).unwrap();
         st.core_of[0] = Some(0);
         let sched = realize_schedule(&st, false);
         assert_eq!(sched.assignments[0].placement, Placement::Core(0));

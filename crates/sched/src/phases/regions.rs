@@ -288,7 +288,7 @@ mod tests {
 
     fn run(inst: &ProblemInstance, choice: Vec<prfpga_model::ImplId>) -> SchedState<'_> {
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(inst));
-        let mut st = SchedState::new(inst, &inst.architecture.device, w, choice).unwrap();
+        let mut st = SchedState::new(inst, w, choice).unwrap();
         define_regions(&mut st, OrderingPolicy::EfficiencyIndex);
         st
     }
@@ -404,7 +404,7 @@ mod tests {
         let run_with = |ord: OrderingPolicy| {
             let (inst, choice) = mk();
             let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-            let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice).unwrap();
+            let mut st = SchedState::new(&inst, w, choice).unwrap();
             define_regions(&mut st, ord);
             (st.regions.len(), st.region_of.clone(), st.cpm.makespan)
         };

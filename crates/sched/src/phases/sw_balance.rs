@@ -186,7 +186,7 @@ mod tests {
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(inst));
         // t0 chosen HW, t1/t2 SW.
         let choice = vec![ImplId(1), ImplId(2), ImplId(3)];
-        let mut st = SchedState::new(inst, &inst.architecture.device, w, choice).unwrap();
+        let mut st = SchedState::new(inst, w, choice).unwrap();
         let h0 = ImplId(1);
         st.open_region(prfpga_model::TaskId(0), h0);
         st
@@ -240,13 +240,7 @@ mod tests {
         )
         .unwrap();
         let w = MetricWeights::new(&inst2.architecture.device.max_res, max_t(&inst2));
-        let mut st2 = SchedState::new(
-            &inst2,
-            &inst2.architecture.device,
-            w,
-            vec![ImplId(1), ImplId(2)],
-        )
-        .unwrap();
+        let mut st2 = SchedState::new(&inst2, w, vec![ImplId(1), ImplId(2)]).unwrap();
         st2.open_region(TaskId(0), ImplId(1));
         let hoisted = balance_software_tasks(&mut st2);
         assert_eq!(
@@ -261,13 +255,7 @@ mod tests {
     fn no_regions_means_no_balancing() {
         let inst = fixture();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(
-            &inst,
-            &inst.architecture.device,
-            w,
-            vec![ImplId(0), ImplId(2), ImplId(3)],
-        )
-        .unwrap();
+        let mut st = SchedState::new(&inst, w, vec![ImplId(0), ImplId(2), ImplId(3)]).unwrap();
         assert_eq!(balance_software_tasks(&mut st), 0);
     }
 }

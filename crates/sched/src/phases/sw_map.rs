@@ -137,7 +137,7 @@ mod tests {
             .task_ids()
             .map(|t| inst.fastest_sw_impl(t))
             .collect();
-        SchedState::new(inst, &inst.architecture.device, w, choice).unwrap()
+        SchedState::new(inst, w, choice).unwrap()
     }
 
     #[test]
@@ -187,7 +187,7 @@ mod tests {
         )
         .unwrap();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, vec![h]).unwrap();
+        let mut st = SchedState::new(&inst, w, vec![h]).unwrap();
         st.open_region(TaskId(0), h);
         map_software_tasks(&mut st);
         assert_eq!(st.core_of[0], None);
@@ -210,7 +210,7 @@ mod tests {
         )
         .unwrap();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st = SchedState::new(&inst, &inst.architecture.device, w, vec![a, b]).unwrap();
+        let mut st = SchedState::new(&inst, w, vec![a, b]).unwrap();
         map_software_tasks(&mut st);
         assert_eq!(st.cpm.makespan, 150);
     }

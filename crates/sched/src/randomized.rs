@@ -18,10 +18,10 @@ use rand_chacha::ChaCha8Rng;
 use prfpga_floorplan::{
     CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, DEFAULT_CACHE_CAPACITY,
 };
-use prfpga_model::{CancelToken, Device, Platform, ProblemInstance, Schedule, Time};
+use prfpga_model::{CancelToken, ProblemInstance, Schedule, Time};
 
 use crate::config::{OrderingPolicy, SchedulerConfig};
-use crate::driver::{do_schedule_in, ImplSelectMemo, PaScheduler};
+use crate::driver::{do_schedule_in, ImplSelectMemo, PaScheduler, VirtualTarget};
 use crate::error::SchedError;
 use crate::state::SchedWorkspace;
 use crate::trace::ObserverHandle;
@@ -29,7 +29,8 @@ use crate::trace::ObserverHandle;
 /// A point on PA-R's anytime-convergence curve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvergencePoint {
-    /// Iteration (1-based) at which the improvement landed.
+    /// Iteration (1-based) at which the improvement landed, counted by the
+    /// worker that found it (the only worker of a serial run).
     pub iteration: usize,
     /// Wall-clock elapsed since the search started.
     pub elapsed: Duration,
@@ -42,7 +43,7 @@ pub struct ConvergencePoint {
 pub struct PaRResult {
     /// Best floorplan-feasible schedule found.
     pub schedule: Schedule,
-    /// Iterations executed.
+    /// Iterations executed, summed over workers.
     pub iterations: usize,
     /// Every improvement, in order — the data behind the paper's Fig. 6.
     pub trace: Vec<ConvergencePoint>,
@@ -118,73 +119,147 @@ impl PaRScheduler {
         cancel: &CancelToken,
         ws: &mut SchedWorkspace,
     ) -> Result<PaRResult, SchedError> {
+        self.search(inst, 1, cancel, ws)
+    }
+
+    /// Parallel PA-R: `threads` workers explore disjoint seed streams and
+    /// share the incumbent and the feasibility cache. Worker 0 runs on the
+    /// calling thread with the serial search's seed, so one thread is
+    /// exactly [`schedule_with_cancel_in`](Self::schedule_with_cancel_in).
+    /// The result is deterministic for a fixed `(seed, max_iterations,
+    /// threads)` triple when the iteration cap is used (each worker owns an
+    /// equal slice of the iteration budget); under a pure wall-clock budget
+    /// the outcome depends on timing, as in any anytime search.
+    ///
+    /// `cancel` is shared by all workers, each polling it as the serial
+    /// search does (poll counts aggregate across workers); the result
+    /// follows the serial search's cancellation rules.
+    pub fn schedule_parallel(
+        &self,
+        inst: &ProblemInstance,
+        threads: usize,
+        cancel: &CancelToken,
+    ) -> Result<PaRResult, SchedError> {
+        self.search(inst, threads.max(1), cancel, &mut SchedWorkspace::new())
+    }
+
+    /// Algorithm 1 run by `threads` workers; worker 0 uses `ws`.
+    fn search(
+        &self,
+        inst: &ProblemInstance,
+        threads: usize,
+        cancel: &CancelToken,
+        ws: &mut SchedWorkspace,
+    ) -> Result<PaRResult, SchedError> {
         inst.validate()
             .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
 
+        let config = &self.config;
         let polls0 = cancel.polls();
         let hits0 = cancel.deadline_hits();
-        let mut target = VirtualTarget::new(inst, &self.config);
         let start = Instant::now();
-        let deadline = start + self.config.time_budget;
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-
-        // One workspace and one feasibility cache persist across every
-        // iteration; verdicts are exact, so memoizing them cannot change
-        // the search trajectory.
-        let mut memo = ImplSelectMemo::default();
+        let deadline = start + config.time_budget;
+        let quota = config.max_iterations.div_ceil(threads);
+        // One feasibility cache for every worker and iteration (solves
+        // happen outside its lock); verdicts are exact, so memoizing them
+        // cannot change any worker's search trajectory.
         let cache = FeasibilityCache::new(
-            Floorplanner::new(self.config.floorplan.clone()),
+            Floorplanner::new(config.floorplan.clone()),
             DEFAULT_CACHE_CAPACITY,
         );
+        let incumbent = Mutex::new(Incumbent {
+            makespan: Time::MAX,
+            schedule: None,
+            trace: Vec::new(),
+        });
 
-        let mut best: Option<Schedule> = None;
-        let mut best_makespan = Time::MAX;
-        let mut trace = Vec::new();
-        let mut iterations = 0usize;
-        let mut cancelled = false;
-
-        loop {
-            if self.config.max_iterations > 0 && iterations >= self.config.max_iterations {
-                break;
-            }
-            // Always run at least one iteration so a zero budget still
-            // returns a schedule.
-            if iterations > 0 && Instant::now() >= deadline {
-                break;
-            }
-            if cancel.is_cancelled() {
-                cancelled = true;
-                break;
-            }
-            iterations += 1;
-            let schedule = target.run(ws, inst, &self.config, rng.random(), &mut memo);
-            let makespan = schedule.makespan();
-            if makespan < best_makespan {
+        let worker = |w: usize, ws: &mut SchedWorkspace| -> WorkerEnd {
+            let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(w as u64 * 0x9E37));
+            let mut target = VirtualTarget::new(&inst.architecture, config.max_attempts.max(1));
+            let mut memo = ImplSelectMemo::default();
+            let mut iterations = 0usize;
+            let mut cancelled = false;
+            loop {
+                if quota > 0 && iterations >= quota {
+                    break;
+                }
+                // Always run at least one iteration so a zero budget still
+                // returns a schedule.
+                if iterations > 0 && Instant::now() >= deadline {
+                    break;
+                }
+                if cancel.is_cancelled() {
+                    cancelled = true;
+                    break;
+                }
+                iterations += 1;
+                let schedule = do_schedule_in(
+                    ws,
+                    inst,
+                    &target,
+                    config,
+                    OrderingPolicy::RandomizedNonCritical(rng.random()),
+                    &ObserverHandle::noop(),
+                    Some(&mut memo),
+                );
+                let makespan = schedule.makespan();
+                if makespan >= incumbent.lock().makespan {
+                    continue;
+                }
                 // Pay for the floorplanner only on improvement (Algorithm 1).
                 let outcome = cache.check(&inst.architecture, &schedule.regions, cancel);
                 if let FloorplanOutcome::Feasible(_) = outcome {
-                    best_makespan = makespan;
-                    best = Some(schedule);
-                    trace.push(ConvergencePoint {
-                        iteration: iterations,
-                        elapsed: start.elapsed(),
-                        makespan,
-                    });
-                } else {
+                    let mut best = incumbent.lock();
+                    if makespan < best.makespan {
+                        best.makespan = makespan;
+                        best.schedule = Some(schedule);
+                        best.trace.push(ConvergencePoint {
+                            iteration: iterations,
+                            elapsed: start.elapsed(),
+                            makespan,
+                        });
+                    }
+                } else if cancel.is_cancelled() {
                     // A non-feasible verdict caused by the token firing
                     // mid-solve is a Timeout, not a capacity statement:
-                    // break before it can consume a ratchet shrink.
-                    if cancel.is_cancelled() {
-                        cancelled = true;
-                        break;
-                    }
-                    target.shrink(self.config.shrink_factor);
+                    // stop before it can consume a ratchet shrink.
+                    cancelled = true;
+                    break;
+                } else {
+                    target.shrink(config.shrink_factor);
                 }
             }
-        }
+            WorkerEnd {
+                iterations,
+                cancelled,
+                workspace_reuses: ws.reuses(),
+            }
+        };
 
-        let workspace_reuses = ws.reuses();
+        let ends = crossbeam::thread::scope(|scope| {
+            let worker = &worker;
+            let helpers: Vec<_> = (1..threads)
+                .map(|w| scope.spawn(move |_| worker(w, &mut SchedWorkspace::new())))
+                .collect();
+            let mut ends = vec![worker(0, ws)];
+            ends.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("PA-R worker panicked")),
+            );
+            ends
+        })
+        .expect("PA-R worker panicked");
+
+        let iterations = ends.iter().map(|e| e.iterations).sum();
+        let workspace_reuses = ends.iter().map(|e| e.workspace_reuses).sum();
+        let cancelled = ends.iter().any(|e| e.cancelled);
         let fp_cache = cache.stats();
+        let Incumbent {
+            schedule: best,
+            trace,
+            ..
+        } = incumbent.into_inner();
         let (schedule, degraded) = match best {
             Some(schedule) => (schedule, cancelled),
             // Every random candidate was floorplan-infeasible (or the token
@@ -194,8 +269,8 @@ impl PaRScheduler {
             // schedule. The token is passed through, so a fired deadline
             // short-circuits the fallback to PA's bounded degraded path.
             None => {
-                let pa = PaScheduler::new(self.config.clone())
-                    .schedule_with_cancel_in(inst, cancel, ws)?;
+                let pa =
+                    PaScheduler::new(config.clone()).schedule_with_cancel_in(inst, cancel, ws)?;
                 (pa.schedule, cancelled || pa.degraded)
             }
         };
@@ -211,158 +286,22 @@ impl PaRScheduler {
             deadline_hits: cancel.deadline_hits() - hits0,
         })
     }
-
-    /// Parallel PA-R: `threads` workers explore disjoint seed streams and
-    /// share the incumbent under a mutex. The result is deterministic for
-    /// a fixed `(seed, max_iterations, threads)` triple when the iteration
-    /// cap is used (each worker owns an equal slice of the iteration
-    /// budget); under a pure wall-clock budget the outcome depends on
-    /// timing, as in any anytime search.
-    ///
-    /// `cancel` is shared by all workers: each polls it once per iteration
-    /// (poll counts aggregate across workers) and stops as soon as it
-    /// fires. The incumbent at cancellation time is returned; with none,
-    /// the deterministic PA's (possibly degraded) fallback runs under the
-    /// same token.
-    pub fn schedule_parallel(
-        &self,
-        inst: &ProblemInstance,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, SchedError> {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return self
-                .schedule_with_cancel_in(inst, cancel, &mut SchedWorkspace::new())
-                .map(|r| r.schedule);
-        }
-        inst.validate()
-            .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
-
-        let best: Mutex<(Time, Option<Schedule>)> = Mutex::new((Time::MAX, None));
-        let deadline = Instant::now() + self.config.time_budget;
-        let per_worker_iters = if self.config.max_iterations > 0 {
-            self.config.max_iterations.div_ceil(threads)
-        } else {
-            0
-        };
-        // All workers share one feasibility cache (solves happen outside
-        // its lock); each owns a private workspace. Verdicts are exact, so
-        // sharing cannot perturb any worker's search trajectory.
-        let shared_cache = FeasibilityCache::new(
-            Floorplanner::new(self.config.floorplan.clone()),
-            DEFAULT_CACHE_CAPACITY,
-        );
-
-        crossbeam::thread::scope(|scope| {
-            for w in 0..threads {
-                let best = &best;
-                let config = &self.config;
-                let cache = shared_cache.clone();
-                scope.spawn(move |_| {
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(w as u64 * 0x9E37));
-                    // Per-worker capacity ratchet.
-                    let mut target = VirtualTarget::new(inst, config);
-                    let mut ws = SchedWorkspace::new();
-                    let mut memo = ImplSelectMemo::default();
-                    let mut iters = 0usize;
-                    loop {
-                        if per_worker_iters > 0 && iters >= per_worker_iters {
-                            break;
-                        }
-                        if iters > 0 && Instant::now() >= deadline {
-                            break;
-                        }
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        iters += 1;
-                        let schedule = target.run(&mut ws, inst, config, rng.random(), &mut memo);
-                        let makespan = schedule.makespan();
-                        if makespan < best.lock().0 {
-                            let outcome =
-                                cache.check(&inst.architecture, &schedule.regions, cancel);
-                            if let FloorplanOutcome::Feasible(_) = outcome {
-                                let mut guard = best.lock();
-                                if makespan < guard.0 {
-                                    *guard = (makespan, Some(schedule));
-                                }
-                            } else {
-                                target.shrink(config.shrink_factor);
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("PA-R worker panicked");
-
-        let (_, found) = best.into_inner();
-        match found {
-            Some(s) => Ok(s),
-            None => PaScheduler::new(self.config.clone())
-                .schedule_with_cancel_in(inst, cancel, &mut SchedWorkspace::new())
-                .map(|r| r.schedule),
-        }
-    }
 }
 
-/// PA-R's virtual capacity ratchet. Algorithm 1 discards floorplan-
-/// infeasible candidates outright, but a pipeline run that packs the
-/// fabric to 100% is *systematically* unplaceable on a column grid, so
-/// repeating it at the same capacity would starve the search. Whenever an
-/// improving candidate fails the floorplan, subsequent iterations schedule
-/// against a shrunken virtual capacity — the same lever the deterministic
-/// PA's restart loop uses (§V-H). On platform instances the virtual
-/// platform shrinks in lockstep with the relaxation device.
-struct VirtualTarget {
-    device: Device,
-    platform: Option<Platform>,
-    shrinks_left: usize,
+/// The best floorplan-feasible schedule found so far, shared by the
+/// workers, with the improvements that led to it.
+struct Incumbent {
+    makespan: Time,
+    schedule: Option<Schedule>,
+    trace: Vec<ConvergencePoint>,
 }
 
-impl VirtualTarget {
-    fn new(inst: &ProblemInstance, config: &SchedulerConfig) -> Self {
-        VirtualTarget {
-            device: inst.architecture.device.clone(),
-            platform: inst.architecture.platform.clone(),
-            shrinks_left: config.max_attempts.max(1),
-        }
-    }
-
-    /// One pipeline run at the current virtual capacity, with the
-    /// non-critical hardware tasks ordered by `order_seed`.
-    fn run(
-        &self,
-        ws: &mut SchedWorkspace,
-        inst: &ProblemInstance,
-        config: &SchedulerConfig,
-        order_seed: u64,
-        memo: &mut ImplSelectMemo,
-    ) -> Schedule {
-        do_schedule_in(
-            ws,
-            inst,
-            &self.device,
-            self.platform.as_ref(),
-            config,
-            OrderingPolicy::RandomizedNonCritical(order_seed),
-            &ObserverHandle::noop(),
-            Some(memo),
-        )
-    }
-
-    /// Shrinks the virtual capacity by `(num, den)` while shrinks remain.
-    fn shrink(&mut self, (num, den): (u64, u64)) {
-        if self.shrinks_left > 0 {
-            self.device.scale_capacity_in_place(num, den);
-            if let Some(p) = self.platform.as_mut() {
-                p.scale_capacity_in_place(num, den);
-            }
-            self.shrinks_left -= 1;
-        }
-    }
+/// What one worker reports when its loop ends.
+struct WorkerEnd {
+    iterations: usize,
+    /// The worker stopped because the token fired.
+    cancelled: bool,
+    workspace_reuses: u64,
 }
 
 #[cfg(test)]
@@ -441,10 +380,11 @@ mod tests {
     fn parallel_variant_returns_valid_schedules() {
         let inst = instance(20, 23);
         let par = PaRScheduler::new(config_iters(8));
-        let s = par
+        let r = par
             .schedule_parallel(&inst, 4, &CancelToken::never())
             .unwrap();
-        validate_schedule(&inst, &s).expect("valid");
+        validate_schedule(&inst, &r.schedule).expect("valid");
+        assert_eq!(r.iterations, 8, "each of 4 workers runs 2 iterations");
     }
 
     #[test]

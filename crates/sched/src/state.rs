@@ -2,16 +2,16 @@
 //! reusable workspace that makes repeated `doSchedule` runs
 //! allocation-free.
 
+use std::borrow::Cow;
 use std::mem;
 
 use prfpga_dag::{
     reach, CpmAnalysis, CpmScratch, CsrView, CycleError, Dag, DagCheckpoint, NodeId, ReachIndex,
 };
-use prfpga_model::{
-    Device, ImplId, Platform, ProblemInstance, ResourceVec, TaskId, Time, TimeWindow,
-};
+use prfpga_model::{Device, ImplId, ProblemInstance, ResourceVec, TaskId, Time, TimeWindow};
 use prfpga_timeline::Timeline;
 
+use crate::driver::VirtualTarget;
 use crate::error::SchedError;
 use crate::metrics::MetricWeights;
 use crate::trace::ObserverHandle;
@@ -161,15 +161,11 @@ impl SchedWorkspace {
 pub struct SchedState<'a> {
     /// The instance being scheduled.
     pub inst: &'a ProblemInstance,
-    /// Device with possibly shrunk capacity (feasibility restarts). With a
-    /// platform attached this is the relaxation device; per-fabric
-    /// arithmetic goes through [`SchedState::fabric_device`].
-    pub device: &'a Device,
-    /// Multi-fabric platform with possibly shrunk capacities, ratcheted in
-    /// lockstep with `device` by the restart loops. `None` is the classic
-    /// single-device path (injected after construction, like
-    /// `module_reuse`, so direct phase callers are unaffected).
-    pub platform: Option<&'a Platform>,
+    /// The target with possibly shrunk capacities, borrowed from the
+    /// scheduling loop's ratchet (owned at full capacity when built by
+    /// [`SchedState::new`]). Per-fabric arithmetic goes through
+    /// [`SchedState::fabric_device`].
+    pub target: Cow<'a, VirtualTarget>,
     /// Partition assignment per task (fabric index), filled by the
     /// partition phase; all zeros on a single-fabric target.
     pub fabric_of: Vec<u32>,
@@ -212,16 +208,22 @@ pub struct SchedState<'a> {
 
 impl<'a> SchedState<'a> {
     /// Builds the state after implementation selection, allocating fresh
-    /// buffers. Direct phase callers (tests, experiments) use this;
-    /// scheduler loops go through [`SchedState::from_workspace`].
+    /// buffers, against `inst`'s architecture at full capacity. Direct
+    /// phase callers (tests, experiments) use this; scheduler loops go
+    /// through [`SchedState::from_workspace`].
     pub fn new(
         inst: &'a ProblemInstance,
-        device: &'a Device,
         weights: MetricWeights,
         impl_choice: Vec<ImplId>,
     ) -> Result<Self, SchedError> {
-        let mut ws = SchedWorkspace::new();
-        Self::from_workspace(inst, device, weights, impl_choice, &mut ws)
+        let target = Cow::Owned(VirtualTarget::new(&inst.architecture, 0));
+        Self::build(
+            inst,
+            target,
+            weights,
+            impl_choice,
+            &mut SchedWorkspace::new(),
+        )
     }
 
     /// Builds the state out of `ws`'s buffers: the DAG rewinds to the
@@ -233,7 +235,17 @@ impl<'a> SchedState<'a> {
     /// `ws` via [`SchedState::recycle`].
     pub fn from_workspace(
         inst: &'a ProblemInstance,
-        device: &'a Device,
+        target: &'a VirtualTarget,
+        weights: MetricWeights,
+        impl_choice: Vec<ImplId>,
+        ws: &mut SchedWorkspace,
+    ) -> Result<Self, SchedError> {
+        Self::build(inst, Cow::Borrowed(target), weights, impl_choice, ws)
+    }
+
+    fn build(
+        inst: &'a ProblemInstance,
+        target: Cow<'a, VirtualTarget>,
         weights: MetricWeights,
         impl_choice: Vec<ImplId>,
         ws: &mut SchedWorkspace,
@@ -305,8 +317,7 @@ impl<'a> SchedState<'a> {
 
         Ok(SchedState {
             inst,
-            device,
-            platform: None,
+            target,
             fabric_of,
             weights,
             dag,
@@ -508,25 +519,18 @@ impl<'a> SchedState<'a> {
             .sum()
     }
 
-    /// Number of fabrics of the target (1 without a platform).
+    /// Number of fabrics of the target.
     #[inline]
     pub fn num_fabrics(&self) -> usize {
-        match self.platform {
-            Some(p) => p.num_fabrics(),
-            None => 1,
-        }
+        self.target.platform.num_fabrics()
     }
 
-    /// The (possibly capacity-shrunk) device describing fabric `f`: the
-    /// platform fabric, or the lone `device` when no platform is attached.
-    /// Bit costs and reconfiguration throughput are never shrunk, so
-    /// timing arithmetic through this accessor matches the real fabric.
+    /// The (possibly capacity-shrunk) device describing fabric `f`. Bit
+    /// costs and reconfiguration throughput are never shrunk, so timing
+    /// arithmetic through this accessor matches the real fabric.
     #[inline]
     pub fn fabric_device(&self, f: u32) -> &Device {
-        match self.platform {
-            Some(p) => &p.fabrics[f as usize],
-            None => self.device,
-        }
+        &self.target.platform.fabrics[f as usize]
     }
 
     /// Capacity of fabric `f` under the current (possibly shrunk) target.
@@ -536,20 +540,16 @@ impl<'a> SchedState<'a> {
     }
 
     /// Total controller-timeline lanes: `num_reconfig_controllers` per
-    /// fabric, fabric `f` owning lanes `[f*k, f*k+k)`. Equals the plain
-    /// controller count without a platform.
+    /// fabric, fabric `f` owning lanes `[f*k, f*k+k)`.
     #[inline]
     pub fn controller_lanes(&self) -> usize {
         self.inst.architecture.num_reconfig_controllers.max(1) * self.num_fabrics()
     }
 
-    /// Latency added to data edges crossing fabrics (0 without a platform).
+    /// Latency added to data edges crossing fabrics.
     #[inline]
     pub fn crossing_latency(&self) -> Time {
-        match self.platform {
-            Some(p) => p.crossing_latency,
-            None => 0,
-        }
+        self.target.platform.crossing_latency
     }
 
     /// Estimated reconfiguration time of region `s` (eq. 2 on `res_s`,
@@ -612,9 +612,8 @@ mod tests {
     }
 
     fn mk_state(inst: &ProblemInstance) -> SchedState<'_> {
-        let device = &inst.architecture.device;
-        let weights = MetricWeights::new(&device.max_res, 30);
-        SchedState::new(inst, device, weights, all_hw_choice(inst)).unwrap()
+        let weights = MetricWeights::new(&inst.architecture.device.max_res, 30);
+        SchedState::new(inst, weights, all_hw_choice(inst)).unwrap()
     }
 
     #[test]
@@ -673,13 +672,13 @@ mod tests {
         // Two runs through one workspace, with mutations in between, must
         // start from the exact state a fresh allocation produces.
         let inst = mk_instance();
-        let device = &inst.architecture.device;
-        let weights = MetricWeights::new(&device.max_res, 30);
+        let target = VirtualTarget::new(&inst.architecture, 0);
+        let weights = MetricWeights::new(&target.device.max_res, 30);
         let mut ws = SchedWorkspace::new();
         for round in 0..3 {
             let mut st = SchedState::from_workspace(
                 &inst,
-                device,
+                &target,
                 weights.clone(),
                 all_hw_choice(&inst),
                 &mut ws,
@@ -711,21 +710,16 @@ mod tests {
         let weights = MetricWeights::new(&inst_a.architecture.device.max_res, 30);
         let mut ws = SchedWorkspace::new();
         for inst in [&inst_a, &inst_b, &inst_a] {
+            let target = VirtualTarget::new(&inst.architecture, 0);
             let st = SchedState::from_workspace(
                 inst,
-                &inst.architecture.device,
+                &target,
                 weights.clone(),
                 all_hw_choice(inst),
                 &mut ws,
             )
             .unwrap();
-            let fresh = SchedState::new(
-                inst,
-                &inst.architecture.device,
-                weights.clone(),
-                all_hw_choice(inst),
-            )
-            .unwrap();
+            let fresh = SchedState::new(inst, weights.clone(), all_hw_choice(inst)).unwrap();
             assert_eq!(st.dag, fresh.dag);
             assert_eq!(st.cpm, fresh.cpm);
             st.recycle(&mut ws);
@@ -745,16 +739,11 @@ mod tests {
         assert!(reach::is_reachable(&big, 0, 8191));
         assert!(reach::scratch_capacity() >= 8192);
         let inst = mk_instance();
-        let weights = MetricWeights::new(&inst.architecture.device.max_res, 30);
+        let target = VirtualTarget::new(&inst.architecture, 0);
+        let weights = MetricWeights::new(&target.device.max_res, 30);
         let mut ws = SchedWorkspace::new();
-        let st = SchedState::from_workspace(
-            &inst,
-            &inst.architecture.device,
-            weights,
-            all_hw_choice(&inst),
-            &mut ws,
-        )
-        .unwrap();
+        let st = SchedState::from_workspace(&inst, &target, weights, all_hw_choice(&inst), &mut ws)
+            .unwrap();
         st.recycle(&mut ws);
         assert!(
             reach::scratch_capacity() <= 4096,

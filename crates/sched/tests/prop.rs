@@ -57,7 +57,7 @@ fn balanced_state(inst: &ProblemInstance, ordering: OrderingPolicy) -> SchedStat
     let device = &inst.architecture.device;
     let weights = MetricWeights::new(&device.max_res, impl_select::max_t(inst));
     let choice = impl_select::select_implementations(inst, &weights, CostPolicy::Full);
-    let mut st = SchedState::new(inst, device, weights, choice).unwrap();
+    let mut st = SchedState::new(inst, weights, choice).unwrap();
     regions::define_regions(&mut st, ordering);
     sw_balance::balance_software_tasks(&mut st);
     st
@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn pipeline_state_invariants(inst in arb_instance()) {
         let st = pipeline_state(&inst, OrderingPolicy::EfficiencyIndex);
-        prop_assert!(st.used_resources().fits_in(&st.device.max_res));
+        prop_assert!(st.used_resources().fits_in(&st.target.device.max_res));
         // The mutated dependency graph is still acyclic (Dag enforces it,
         // but verify the public invariant end to end).
         prop_assert_eq!(st.dag.topo_order().len(), inst.graph.len());
@@ -168,7 +168,7 @@ proptest! {
             OrderingPolicy::RandomizedNonCritical(seed),
         ] {
             let st = pipeline_state(&inst, ordering);
-            prop_assert!(st.used_resources().fits_in(&st.device.max_res));
+            prop_assert!(st.used_resources().fits_in(&st.target.device.max_res));
             prop_assert_eq!(st.dag.topo_order().len(), inst.graph.len());
         }
     }

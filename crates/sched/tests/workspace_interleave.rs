@@ -15,7 +15,9 @@
 use prfpga_gen::{GraphConfig, TaskGraphGenerator};
 use prfpga_model::{Architecture, CancelToken, ImplId, ProblemInstance, TaskId};
 use prfpga_sched::metrics::MetricWeights;
-use prfpga_sched::{PaRScheduler, PaScheduler, SchedState, SchedWorkspace, SchedulerConfig};
+use prfpga_sched::{
+    PaRScheduler, PaScheduler, SchedState, SchedWorkspace, SchedulerConfig, VirtualTarget,
+};
 use prfpga_sim::validate_schedule_sweep;
 
 fn base_instance() -> ProblemInstance {
@@ -53,11 +55,13 @@ fn workspace_cpm_cache_keys_on_durations() {
         .map(|i| a.fastest_sw_impl(TaskId(i as u32)))
         .collect();
     let weights = MetricWeights::new(&a.architecture.device.max_res, 1);
+    let target_a = VirtualTarget::new(&a.architecture, 0);
+    let target_b = VirtualTarget::new(&b.architecture, 0);
 
     // Expected windows for b, from a workspace that never saw a.
     let fresh = SchedState::from_workspace(
         &b,
-        &b.architecture.device,
+        &target_b,
         weights.clone(),
         choice.clone(),
         &mut SchedWorkspace::new(),
@@ -67,18 +71,12 @@ fn workspace_cpm_cache_keys_on_durations() {
 
     // A pooled workspace primed by a must reproduce them exactly.
     let mut ws = SchedWorkspace::new();
-    let st = SchedState::from_workspace(
-        &a,
-        &a.architecture.device,
-        weights.clone(),
-        choice.clone(),
-        &mut ws,
-    )
-    .expect("state for a");
+    let st = SchedState::from_workspace(&a, &target_a, weights.clone(), choice.clone(), &mut ws)
+        .expect("state for a");
     let windows_a = st.cpm.windows.clone();
     st.recycle(&mut ws);
 
-    let st = SchedState::from_workspace(&b, &b.architecture.device, weights, choice, &mut ws)
+    let st = SchedState::from_workspace(&b, &target_b, weights, choice, &mut ws)
         .expect("pooled state for b");
     assert_ne!(windows_a, expect_b, "scaling must move the windows");
     assert_eq!(

@@ -182,6 +182,40 @@ fn inline_instance_that_fails_validation_is_a_typed_rejection() {
     handle.stop();
 }
 
+/// An inline instance whose architecture contradicts its own platform —
+/// no fabrics at all, or a `device` that is one fabric instead of the
+/// platform's relaxation — is an `invalid_instance` reply, and the
+/// connection keeps serving.
+#[test]
+fn inconsistent_platform_is_a_typed_rejection() {
+    let (connector, handle) = start(quiet_config(1));
+    let mut client = connector.connect().expect("connect");
+
+    let inst = prfpga_gen::service_instance(60, 4, Some("dual-zedboard"), 2).expect("generate");
+    let mut no_fabrics = inst.clone();
+    no_fabrics.architecture.platform.fabrics.clear();
+    for t in &mut no_fabrics.graph.tasks {
+        t.impls.retain(|&i| inst.impls.get(i).is_software());
+    }
+    let mut first_fabric = inst.clone();
+    first_fabric.architecture.device = inst.architecture.fabric(0).clone();
+    for (id, bad) in [(13, no_fabrics), (15, first_fabric)] {
+        let line = request_line(&ScheduleRequest {
+            id,
+            algo: AlgoChoice::Portfolio,
+            instance: InstanceSpec::Inline(Box::new(bad)),
+            deadline_ms: None,
+            budget_ms: None,
+            events: Vec::new(),
+        });
+        expect_err(roundtrip(&mut client, &line), ErrorCode::InvalidInstance);
+        assert_alive(&mut client, id + 1);
+    }
+
+    drop(client);
+    handle.stop();
+}
+
 #[test]
 fn unknown_platform_is_a_typed_rejection() {
     let (connector, handle) = start(quiet_config(1));

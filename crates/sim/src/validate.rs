@@ -359,7 +359,7 @@ fn check_capacity(instance: &ProblemInstance, schedule: &Schedule) -> Result<(),
 /// Precedence with optional communication costs for non-colocated pairs.
 /// Region-to-region edges whose endpoints land on different fabrics pay
 /// the platform's inter-fabric crossing latency on top of the edge cost
-/// (zero without a platform; a single fabric never crosses).
+/// (a single fabric never crosses).
 fn check_precedence(
     instance: &ProblemInstance,
     schedule: &Schedule,

@@ -314,11 +314,7 @@ fn missing_crossing_latency_is_precedence_violated() {
         Err(ValidationError::PrecedenceViolated { from: A, to: B })
     );
     let mut free = inst.clone();
-    free.architecture
-        .platform
-        .as_mut()
-        .unwrap()
-        .crossing_latency = 0;
+    free.architecture.platform.crossing_latency = 0;
     assert_eq!(validate(&free, &s), Ok(()));
 }
 

@@ -77,13 +77,14 @@ fn main() {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let s = PaRScheduler::new(cfg)
+        let r = PaRScheduler::new(cfg)
             .schedule_parallel(&instance, threads, &CancelToken::never())
             .unwrap();
-        validate_schedule(&instance, &s).expect("valid");
+        validate_schedule(&instance, &r.schedule).expect("valid");
         println!(
-            "  {threads} thread(s): makespan {} ticks in {:.0} ms",
-            s.makespan(),
+            "  {threads} thread(s): makespan {} ticks, {} iterations in {:.0} ms",
+            r.schedule.makespan(),
+            r.iterations,
             t0.elapsed().as_secs_f64() * 1e3
         );
     }

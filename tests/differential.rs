@@ -18,25 +18,12 @@ use prfpga::prelude::*;
 use prfpga::sched::PaRResult;
 
 fn groups() -> Vec<Vec<ProblemInstance>> {
-    let mut suite = SuiteConfig {
+    SuiteConfig {
         groups: vec![20, 40],
         graphs_per_group: 2,
         seed: 0xD1FF_2016,
     }
-    .generate(&Architecture::zedboard_pr());
-    // CI's platform-wrap leg: `PRFPGA_PLATFORM_WRAP=1` re-targets every
-    // instance at the same device wrapped as a 1-fabric platform, forcing
-    // the partition phase and the per-fabric floorplan/validator/controller
-    // paths on. Every oracle in this file must hold unchanged — the wrap
-    // is required to be byte-identical.
-    if matches!(std::env::var("PRFPGA_PLATFORM_WRAP").as_deref(), Ok("1")) {
-        for inst in suite.iter_mut().flatten() {
-            inst.architecture.platform = Some(prfpga::model::Platform::single(
-                inst.architecture.device.clone(),
-            ));
-        }
-    }
-    suite
+    .generate(&Architecture::zedboard_pr())
 }
 
 /// Ideal unlimited-resource makespan: CPM over the precedence graph with
@@ -229,103 +216,6 @@ fn par_aggregate_does_not_lose_to_pa() {
         par_total as f64 <= pa_total as f64 * 1.02,
         "PA-R aggregate ({par_total}) should not lose to PA ({pa_total}) beyond noise"
     );
-}
-
-/// A 1-fabric [`Platform`] is the degenerate case of the platform model:
-/// the partition phase assigns every component to fabric 0, the crossing
-/// latency never fires, and the per-fabric floorplan/controller/validator
-/// paths collapse onto the single-device ones. Wrapping each instance's
-/// device in `Platform::single` must therefore be byte-identical across
-/// PA, PA-R, IS-1, the portfolio, and the repair engine — schedules,
-/// restart/iteration counts, convergence traces, and repaired outcomes.
-#[test]
-fn single_fabric_platform_wrap_is_byte_identical() {
-    let pa = PaScheduler::new(SchedulerConfig::default());
-    let par = PaRScheduler::new(SchedulerConfig {
-        max_iterations: 4,
-        time_budget: std::time::Duration::from_secs(120),
-        ..Default::default()
-    });
-    let is1 = IsKScheduler::new(IsKConfig::is1());
-    let portfolio = Portfolio::new(PortfolioConfig {
-        members: vec![Member::Pa, Member::PaR],
-        sched: SchedulerConfig {
-            max_iterations: 4,
-            time_budget: std::time::Duration::from_secs(120),
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-
-    for group in groups() {
-        for inst in &group {
-            let mut wrapped = inst.clone();
-            wrapped.architecture.platform =
-                Some(Platform::single(wrapped.architecture.device.clone()));
-
-            let a = pa.schedule_detailed(inst).unwrap();
-            let b = pa.schedule_detailed(&wrapped).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA schedule on {}", inst.name);
-            assert_eq!(a.attempts, b.attempts, "PA attempts on {}", inst.name);
-            let pa_baseline = a.schedule;
-
-            let a = par.schedule_detailed(inst).unwrap();
-            let b = par.schedule_detailed(&wrapped).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA-R schedule on {}", inst.name);
-            assert_eq!(
-                a.iterations, b.iterations,
-                "PA-R iterations on {}",
-                inst.name
-            );
-            let points = |r: &PaRResult| -> Vec<(usize, Time)> {
-                r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
-            };
-            assert_eq!(points(&a), points(&b), "PA-R convergence on {}", inst.name);
-
-            let a = is1.schedule(inst).unwrap();
-            let b = is1.schedule(&wrapped).unwrap();
-            assert_eq!(a, b, "IS-1 schedule on {}", inst.name);
-
-            let a = portfolio.run(inst).unwrap();
-            let b = portfolio.run(&wrapped).unwrap();
-            assert_eq!(
-                a.schedule, b.schedule,
-                "portfolio schedule on {}",
-                inst.name
-            );
-            assert_eq!(a.winner, b.winner, "portfolio winner on {}", inst.name);
-
-            // Repair: replay one synthetic event trace against the PA
-            // baseline under both targets; every repaired schedule state
-            // must match (the trace itself is a pure function of the
-            // instance + baseline, both already proven identical).
-            let trace = EventTraceGenerator::new(0x9A7F_0001).generate(
-                inst,
-                &pa_baseline,
-                &EventConfig::standard(12),
-            );
-            let mut plain =
-                RepairEngine::new(inst.clone(), pa_baseline.clone(), RepairConfig::default())
-                    .unwrap();
-            let mut wrapped_engine = RepairEngine::new(
-                wrapped.clone(),
-                pa_baseline.clone(),
-                RepairConfig::default(),
-            )
-            .unwrap();
-            for event in &trace.events {
-                let a = plain.apply(event).unwrap();
-                let b = wrapped_engine.apply(event).unwrap();
-                assert_eq!(a, b, "repair outcome on {}", inst.name);
-                assert_eq!(
-                    plain.schedule(),
-                    wrapped_engine.schedule(),
-                    "repaired schedule on {}",
-                    inst.name
-                );
-            }
-        }
-    }
 }
 
 /// Multi-fabric end-to-end: a 120-task instance targeted at the Alveo

@@ -210,3 +210,65 @@ fn baselines_survive_the_edge_cases_too() {
         validate_schedule(&inst, &s).unwrap();
     }
 }
+
+/// The two ways an architecture can contradict its own platform are typed
+/// errors for every scheduler: a platform with no fabrics (kept to
+/// software-only tasks, so nothing else is wrong with it), and a `device`
+/// that is not the platform's relaxation — inflated, or replaced by one
+/// fabric.
+#[test]
+fn inconsistent_platforms_are_rejected_by_every_scheduler() {
+    use prfpga::gen::GraphConfig;
+    use prfpga::model::ModelError;
+    use prfpga::sched::SchedError;
+
+    let inst = TaskGraphGenerator::new(4).generate(
+        "dual",
+        &GraphConfig::standard(60),
+        Architecture::on_platform(2, Platform::dual_zedboard()),
+    );
+    let mut no_fabrics = inst.clone();
+    no_fabrics.architecture.platform.fabrics.clear();
+    for t in &mut no_fabrics.graph.tasks {
+        t.impls.retain(|&i| inst.impls.get(i).is_software());
+    }
+    let mut inflated = inst.clone();
+    inflated.architecture.device.max_res = inst.architecture.device.max_res.scale_frac_floor(3, 2);
+    let mut first_fabric = inst.clone();
+    first_fabric.architecture.device = inst.architecture.fabric(0).clone();
+
+    let par = PaRScheduler::new(SchedulerConfig {
+        max_iterations: 2,
+        ..Default::default()
+    });
+    for (bad, expected) in [
+        (&no_fabrics, "no fabrics"),
+        (&inflated, "relaxation"),
+        (&first_fabric, "relaxation"),
+    ] {
+        let err = bad.validate().unwrap_err();
+        assert!(matches!(
+            err,
+            ModelError::NoFabrics | ModelError::DeviceNotRelaxation
+        ));
+        let errors = [
+            pa().schedule(bad).map(|_| ()).unwrap_err(),
+            par.schedule(bad).map(|_| ()).unwrap_err(),
+            IsKScheduler::with_k(1)
+                .schedule(bad)
+                .map(|_| ())
+                .unwrap_err(),
+            HeftScheduler::new().schedule(bad).map(|_| ()).unwrap_err(),
+            Portfolio::new(PortfolioConfig::default())
+                .run(bad)
+                .map(|_| ())
+                .unwrap_err(),
+        ];
+        for e in errors {
+            assert!(
+                matches!(&e, SchedError::InvalidInstance(m) if m.contains(expected)),
+                "{e}"
+            );
+        }
+    }
+}

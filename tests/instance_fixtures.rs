@@ -25,6 +25,21 @@ fn fixtures_load_and_validate() {
     }
 }
 
+/// The JSON encoding is stable: every fixture re-serializes to exactly its
+/// committed bytes (single-device files carry no `platform` key).
+#[test]
+fn fixtures_reserialize_byte_identically() {
+    for path in fixtures() {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let inst = ProblemInstance::from_json(&text).unwrap();
+        assert!(
+            inst.to_json() == text,
+            "{} re-serializes differently",
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn fixtures_schedule_with_pa() {
     let pa = PaScheduler::new(SchedulerConfig::default());
