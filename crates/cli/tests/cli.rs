@@ -270,3 +270,23 @@ fn inconsistent_platforms_are_rejected() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// An instance file of a million `[` is a typed parse error (exit 1), not
+/// a stack overflow.
+#[test]
+fn deeply_nested_input_is_a_typed_error() {
+    let path = tmp("deep.json");
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    let out = bin()
+        .args(["schedule", "--algo", "pa", "--input"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: instance parse error: recursion limit exceeded at line 1"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&path);
+}

@@ -31,13 +31,14 @@ impl StructVersion {
 }
 
 impl Serialize for StructVersion {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Number(serde::value::Number::from_u64(0))
+    fn serialize(&self, s: &mut serde::ser::Serializer) {
+        s.u64(0)
     }
 }
 
 impl Deserialize for StructVersion {
-    fn from_value(_: &serde::value::Value) -> Result<Self, serde::de::Error> {
+    fn deserialize(de: &mut serde::de::Deserializer<'_>) -> Result<Self, serde::de::Error> {
+        de.skip()?;
         Ok(StructVersion::fresh())
     }
 }

@@ -1,8 +1,8 @@
 //! Target architecture: processor cores plus one or more reconfigurable
 //! fabrics.
 
-use serde::de::Error;
-use serde::value::{Map, Value};
+use serde::de::{Deserializer, Error, Field, Kind};
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 
 use crate::device::Device;
@@ -142,18 +142,15 @@ impl Architecture {
 }
 
 impl Serialize for Architecture {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("num_processors", self.num_processors.to_value());
-        map.insert("device", self.device.to_value());
-        map.insert(
-            "num_reconfig_controllers",
-            self.num_reconfig_controllers.to_value(),
-        );
+    fn serialize(&self, s: &mut Serializer) {
+        let mut o = s.object();
+        o.field("num_processors", &self.num_processors);
+        o.field("device", &self.device);
+        o.field("num_reconfig_controllers", &self.num_reconfig_controllers);
         if !self.is_single_device() {
-            map.insert("platform", self.platform.to_value());
+            o.field("platform", &self.platform);
         }
-        Value::Object(map)
+        o.end();
     }
 }
 
@@ -161,24 +158,33 @@ impl Serialize for Architecture {
 /// `num_reconfig_controllers` is 1, and a missing or `null` `platform` is
 /// `Platform::single(device)`.
 impl Deserialize for Architecture {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| Error::expected("object", "Architecture", v))?;
-        fn field<T: Deserialize>(obj: &Map, name: &str) -> Result<Option<T>, Error> {
-            obj.get(name)
-                .map(|x| T::from_value(x).map_err(|e| e.contextualize(name)))
-                .transpose()
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        match de.peek()? {
+            Kind::Object => de.open_object()?,
+            other => return Err(Error::expected("object", "Architecture", other)),
+        }
+        let mut num_processors = Field::new();
+        let mut device = Field::<Device>::new();
+        let mut num_reconfig_controllers = Field::new();
+        let mut platform = Field::<Option<Platform>>::new();
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "num_processors" => num_processors.read(de)?,
+                "device" => device.read(de)?,
+                "num_reconfig_controllers" => num_reconfig_controllers.read(de)?,
+                "platform" => platform.read(de)?,
+                _ => de.skip()?,
+            }
         }
         let missing = |name| Error::missing_field(name, "Architecture");
         let num_processors =
-            field(obj, "num_processors")?.ok_or_else(|| missing("num_processors"))?;
-        let device: Device = field(obj, "device")?.ok_or_else(|| missing("device"))?;
-        let num_reconfig_controllers = field(obj, "num_reconfig_controllers")?.unwrap_or(1);
-        let platform = match obj.get("platform") {
-            None | Some(Value::Null) => Platform::single(device.clone()),
-            Some(p) => Platform::from_value(p).map_err(|e| e.contextualize("platform"))?,
-        };
+            num_processors.finish("num_processors", || Err(missing("num_processors")))?;
+        let device = device.finish("device", || Err(missing("device")))?;
+        let num_reconfig_controllers =
+            num_reconfig_controllers.finish("num_reconfig_controllers", || Ok(1))?;
+        let platform = platform
+            .finish("platform", || Ok(None))?
+            .unwrap_or_else(|| Platform::single(device.clone()));
         Ok(Architecture {
             num_processors,
             device,

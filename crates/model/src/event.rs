@@ -15,6 +15,8 @@
 use std::fs;
 use std::path::Path;
 
+use serde::de::{Deserializer, Error, Kind, Object};
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
@@ -65,76 +67,78 @@ pub enum ScheduleEvent {
 }
 
 impl Serialize for ScheduleEvent {
-    fn to_value(&self) -> serde::value::Value {
-        use serde::value::{Map, Value};
-        let mut inner = Map::new();
-        let tag = match self {
+    fn serialize(&self, s: &mut Serializer) {
+        let mut o = s.object();
+        match self {
             ScheduleEvent::Finish { task, actual } => {
-                inner.insert("task", task.to_value());
-                inner.insert("actual", actual.to_value());
-                "Finish"
+                let mut inner = o.key("Finish").object();
+                inner.field("task", task);
+                inner.field("actual", actual);
+                inner.end();
             }
             ScheduleEvent::DurationRevised { task, duration } => {
-                inner.insert("task", task.to_value());
-                inner.insert("duration", duration.to_value());
-                "DurationRevised"
+                let mut inner = o.key("DurationRevised").object();
+                inner.field("task", task);
+                inner.field("duration", duration);
+                inner.end();
             }
             ScheduleEvent::Cancel { task } => {
-                inner.insert("task", task.to_value());
-                "Cancel"
+                let mut inner = o.key("Cancel").object();
+                inner.field("task", task);
+                inner.end();
             }
             ScheduleEvent::Arrive {
                 name,
                 sw_time,
                 deps,
             } => {
-                inner.insert("name", name.to_value());
-                inner.insert("sw_time", sw_time.to_value());
-                inner.insert("deps", deps.to_value());
-                "Arrive"
+                let mut inner = o.key("Arrive").object();
+                inner.field("name", name);
+                inner.field("sw_time", sw_time);
+                inner.field("deps", deps);
+                inner.end();
             }
-        };
-        let mut map = Map::new();
-        map.insert(tag, Value::Object(inner));
-        Value::Object(map)
+        }
+        o.end();
     }
 }
 
 impl Deserialize for ScheduleEvent {
-    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        use serde::de::Error;
-        use serde::value::Value;
-        let Value::Object(map) = value else {
-            return Err(Error::expected("object", "ScheduleEvent", value));
-        };
-        let mut tags = map.iter();
-        let (Some((tag, payload)), None) = (tags.next(), tags.next()) else {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let map = de.object("ScheduleEvent")?;
+        let Some((tag, mut payload)) = map.first().filter(|_| map.len() == 1) else {
             return Err(Error::new("expected a single-variant `ScheduleEvent` tag"));
         };
-        let field = |name: &str| -> Result<&Value, Error> {
-            let Value::Object(inner) = payload else {
-                return Err(Error::expected("object payload", "ScheduleEvent", payload));
-            };
+        // Only a known tag gets its payload checked.
+        let payload = match payload.peek()? {
+            Kind::Object => payload.object("ScheduleEvent"),
+            other => Err(Error::expected("object payload", "ScheduleEvent", other)),
+        };
+        fn field<T: Deserialize>(
+            payload: &Result<Object<'_>, Error>,
+            name: &str,
+        ) -> Result<T, Error> {
+            let inner = payload.as_ref().map_err(Clone::clone)?;
             inner
                 .get(name)
-                .ok_or_else(|| Error::missing_field(name, "ScheduleEvent"))
-        };
-        match tag.as_str() {
+                .unwrap_or_else(|| Err(Error::missing_field(name, "ScheduleEvent")))
+        }
+        match tag {
             "Finish" => Ok(ScheduleEvent::Finish {
-                task: TaskId::from_value(field("task")?)?,
-                actual: Time::from_value(field("actual")?)?,
+                task: field(&payload, "task")?,
+                actual: field(&payload, "actual")?,
             }),
             "DurationRevised" => Ok(ScheduleEvent::DurationRevised {
-                task: TaskId::from_value(field("task")?)?,
-                duration: Time::from_value(field("duration")?)?,
+                task: field(&payload, "task")?,
+                duration: field(&payload, "duration")?,
             }),
             "Cancel" => Ok(ScheduleEvent::Cancel {
-                task: TaskId::from_value(field("task")?)?,
+                task: field(&payload, "task")?,
             }),
             "Arrive" => Ok(ScheduleEvent::Arrive {
-                name: String::from_value(field("name")?)?,
-                sw_time: Time::from_value(field("sw_time")?)?,
-                deps: Vec::<TaskId>::from_value(field("deps")?)?,
+                name: field(&payload, "name")?,
+                sw_time: field(&payload, "sw_time")?,
+                deps: field(&payload, "deps")?,
             }),
             other => Err(Error::unknown_variant(other, "ScheduleEvent")),
         }

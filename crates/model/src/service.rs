@@ -26,7 +26,8 @@
 
 use std::fmt;
 
-use serde::value::{Map, Value};
+use serde::de::{Deserializer, Error, Kind, Object};
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 
 use crate::event::ScheduleEvent;
@@ -41,39 +42,45 @@ pub const MAX_GENERATED_TASKS: usize = 100_000;
 
 /// Rejects keys outside `allowed` — the strictness every request object
 /// is parsed under.
-fn check_fields(map: &Map, allowed: &[&str], ty: &str) -> Result<(), serde::de::Error> {
-    for (key, _) in map.iter() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(serde::de::Error::new(format!(
-                "unknown field `{key}` in `{ty}`"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn as_object<'v>(value: &'v Value, ty: &str) -> Result<&'v Map, serde::de::Error> {
-    match value {
-        Value::Object(map) => Ok(map),
-        other => Err(serde::de::Error::expected("object", ty, other)),
+fn check_fields(map: &Object<'_>, allowed: &[&str], ty: &str) -> Result<(), Error> {
+    match map.keys().find(|key| !allowed.contains(key)) {
+        Some(key) => Err(Error::new(format!("unknown field `{key}` in `{ty}`"))),
+        None => Ok(()),
     }
 }
 
-fn req_field<'v>(map: &'v Map, name: &str, ty: &str) -> Result<&'v Value, serde::de::Error> {
+/// The value of a required key: the outer error is its absence, the
+/// inner one a bad value (left for the caller to give a breadcrumb).
+fn required<T: Deserialize>(
+    map: &Object<'_>,
+    name: &str,
+    ty: &str,
+) -> Result<Result<T, Error>, Error> {
+    map.get(name).ok_or_else(|| Error::missing_field(name, ty))
+}
+
+fn u64_field(map: &Object<'_>, name: &str, ty: &str) -> Result<u64, Error> {
+    required(map, name, ty)?.map_err(|e| e.contextualize(&format!("{ty}.{name}")))
+}
+
+fn opt_u64_field(map: &Object<'_>, name: &str, ty: &str) -> Result<Option<u64>, Error> {
     map.get(name)
-        .ok_or_else(|| serde::de::Error::missing_field(name, ty))
+        .unwrap_or(Ok(None))
+        .map_err(|e| e.contextualize(&format!("{ty}.{name}")))
 }
 
-fn u64_field(map: &Map, name: &str, ty: &str) -> Result<u64, serde::de::Error> {
-    u64::from_value(req_field(map, name, ty)?).map_err(|e| e.contextualize(&format!("{ty}.{name}")))
-}
-
-fn opt_u64_field(map: &Map, name: &str, ty: &str) -> Result<Option<u64>, serde::de::Error> {
-    match map.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => u64::from_value(v)
-            .map(Some)
-            .map_err(|e| e.contextualize(&format!("{ty}.{name}"))),
+/// Reads a string-tagged enum through `parse`.
+fn read_tag<T>(
+    de: &mut Deserializer<'_>,
+    ty: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, Error> {
+    match de.peek()? {
+        Kind::String => {
+            let tag = de.string()?;
+            parse(&tag).ok_or_else(|| Error::unknown_variant(&tag, ty))
+        }
+        other => Err(Error::expected("string", ty, other)),
     }
 }
 
@@ -123,17 +130,14 @@ impl fmt::Display for AlgoChoice {
 }
 
 impl Serialize for AlgoChoice {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(&self.to_string())
     }
 }
 
 impl Deserialize for AlgoChoice {
-    fn from_value(value: &Value) -> Result<Self, serde::de::Error> {
-        let Value::String(tag) = value else {
-            return Err(serde::de::Error::expected("string", "AlgoChoice", value));
-        };
-        AlgoChoice::parse(tag).ok_or_else(|| serde::de::Error::unknown_variant(tag, "AlgoChoice"))
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        read_tag(de, "AlgoChoice", AlgoChoice::parse)
     }
 }
 
@@ -160,67 +164,63 @@ pub enum InstanceSpec {
 }
 
 impl Serialize for InstanceSpec {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
+    fn serialize(&self, s: &mut Serializer) {
+        let mut o = s.object();
         match self {
-            InstanceSpec::Inline(inst) => {
-                map.insert("inline", inst.to_value());
-            }
+            InstanceSpec::Inline(inst) => o.field("inline", &**inst),
             InstanceSpec::Generated {
                 tasks,
                 seed,
                 platform,
                 cores,
             } => {
-                let mut inner = Map::new();
-                inner.insert("tasks", tasks.to_value());
-                inner.insert("seed", seed.to_value());
+                let mut inner = o.key("gen").object();
+                inner.field("tasks", tasks);
+                inner.field("seed", seed);
                 if let Some(p) = platform {
-                    inner.insert("platform", p.to_value());
+                    inner.field("platform", p);
                 }
-                inner.insert("cores", cores.to_value());
-                map.insert("gen", Value::Object(inner));
+                inner.field("cores", cores);
+                inner.end();
             }
         }
-        Value::Object(map)
+        o.end();
     }
 }
 
 impl Deserialize for InstanceSpec {
-    fn from_value(value: &Value) -> Result<Self, serde::de::Error> {
-        let map = as_object(value, "InstanceSpec")?;
-        check_fields(map, &["inline", "gen"], "InstanceSpec")?;
-        match (map.get("inline"), map.get("gen")) {
-            (Some(inst), None) => Ok(InstanceSpec::Inline(Box::new(
-                ProblemInstance::from_value(inst).map_err(|e| e.contextualize("inline"))?,
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let map = de.object("InstanceSpec")?;
+        check_fields(&map, &["inline", "gen"], "InstanceSpec")?;
+        match (map.value("inline"), map.value("gen")) {
+            (Some(mut inst), None) => Ok(InstanceSpec::Inline(Box::new(
+                ProblemInstance::deserialize(&mut inst).map_err(|e| e.contextualize("inline"))?,
             ))),
-            (None, Some(profile)) => {
-                let inner = as_object(profile, "InstanceSpec.gen")?;
-                check_fields(inner, &["tasks", "seed", "platform", "cores"], "gen")?;
-                let tasks = u64_field(inner, "tasks", "gen")? as usize;
+            (None, Some(mut profile)) => {
+                let inner = profile.object("InstanceSpec.gen")?;
+                check_fields(&inner, &["tasks", "seed", "platform", "cores"], "gen")?;
+                let tasks = u64_field(&inner, "tasks", "gen")? as usize;
                 if tasks == 0 || tasks > MAX_GENERATED_TASKS {
-                    return Err(serde::de::Error::new(format!(
+                    return Err(Error::new(format!(
                         "gen.tasks must be 1..={MAX_GENERATED_TASKS}, got {tasks}"
                     )));
                 }
-                let platform = match inner.get("platform") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => {
-                        Some(String::from_value(v).map_err(|e| e.contextualize("gen.platform"))?)
-                    }
-                };
-                let cores = opt_u64_field(inner, "cores", "gen")?.unwrap_or(2) as usize;
+                let platform = inner
+                    .get::<Option<String>>("platform")
+                    .unwrap_or(Ok(None))
+                    .map_err(|e| e.contextualize("gen.platform"))?;
+                let cores = opt_u64_field(&inner, "cores", "gen")?.unwrap_or(2) as usize;
                 if cores == 0 || cores > 64 {
-                    return Err(serde::de::Error::new("gen.cores must be 1..=64"));
+                    return Err(Error::new("gen.cores must be 1..=64"));
                 }
                 Ok(InstanceSpec::Generated {
                     tasks,
-                    seed: u64_field(inner, "seed", "gen")?,
+                    seed: u64_field(&inner, "seed", "gen")?,
                     platform,
                     cores,
                 })
             }
-            _ => Err(serde::de::Error::new(
+            _ => Err(Error::new(
                 "instance must carry exactly one of `inline` or `gen`",
             )),
         }
@@ -277,8 +277,8 @@ impl ServiceRequest {
 }
 
 impl Serialize for ServiceRequest {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
+    fn serialize(&self, s: &mut Serializer) {
+        let mut o = s.object();
         match self {
             ServiceRequest::Schedule(r) => {
                 let op = if r.algo == AlgoChoice::Repair {
@@ -286,42 +286,42 @@ impl Serialize for ServiceRequest {
                 } else {
                     "schedule"
                 };
-                map.insert("op", Value::String(op.into()));
-                map.insert("id", r.id.to_value());
-                map.insert("algo", r.algo.to_value());
-                map.insert("instance", r.instance.to_value());
+                o.field("op", op);
+                o.field("id", &r.id);
+                o.field("algo", &r.algo);
+                o.field("instance", &r.instance);
                 if let Some(d) = r.deadline_ms {
-                    map.insert("deadline_ms", d.to_value());
+                    o.field("deadline_ms", &d);
                 }
                 if let Some(b) = r.budget_ms {
-                    map.insert("budget_ms", b.to_value());
+                    o.field("budget_ms", &b);
                 }
                 if !r.events.is_empty() {
-                    map.insert("events", r.events.to_value());
+                    o.field("events", &r.events);
                 }
             }
             ServiceRequest::Stats { id } => {
-                map.insert("op", Value::String("stats".into()));
-                map.insert("id", id.to_value());
+                o.field("op", "stats");
+                o.field("id", id);
             }
             ServiceRequest::Ping { id } => {
-                map.insert("op", Value::String("ping".into()));
-                map.insert("id", id.to_value());
+                o.field("op", "ping");
+                o.field("id", id);
             }
         }
-        Value::Object(map)
+        o.end();
     }
 }
 
 impl Deserialize for ServiceRequest {
-    fn from_value(value: &Value) -> Result<Self, serde::de::Error> {
-        let map = as_object(value, "ServiceRequest")?;
-        let op = String::from_value(req_field(map, "op", "ServiceRequest")?)
-            .map_err(|e| e.contextualize("op"))?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let map = de.object("ServiceRequest")?;
+        let op: String =
+            required(&map, "op", "ServiceRequest")?.map_err(|e| e.contextualize("op"))?;
         match op.as_str() {
             "schedule" | "repair" => {
                 check_fields(
-                    map,
+                    &map,
                     &[
                         "op",
                         "id",
@@ -333,68 +333,60 @@ impl Deserialize for ServiceRequest {
                     ],
                     "ServiceRequest",
                 )?;
-                let algo = match map.get("algo") {
-                    // `repair` needs no explicit algo; `schedule` defaults
-                    // to the always-answering portfolio.
-                    None | Some(Value::Null) => {
-                        if op == "repair" {
-                            AlgoChoice::Repair
-                        } else {
-                            AlgoChoice::Portfolio
-                        }
-                    }
-                    Some(v) => AlgoChoice::from_value(v)?,
-                };
+                // `repair` needs no explicit algo; `schedule` defaults to
+                // the always-answering portfolio.
+                let algo = map
+                    .get("algo")
+                    .unwrap_or(Ok(None))?
+                    .unwrap_or(if op == "repair" {
+                        AlgoChoice::Repair
+                    } else {
+                        AlgoChoice::Portfolio
+                    });
                 if (op == "repair") != (algo == AlgoChoice::Repair) {
-                    return Err(serde::de::Error::new(format!(
+                    return Err(Error::new(format!(
                         "op `{op}` does not match algo `{algo}`"
                     )));
                 }
-                let deadline_ms = opt_u64_field(map, "deadline_ms", "ServiceRequest")?;
+                let deadline_ms = opt_u64_field(&map, "deadline_ms", "ServiceRequest")?;
                 if deadline_ms == Some(0) {
-                    return Err(serde::de::Error::new("deadline_ms must be positive"));
+                    return Err(Error::new("deadline_ms must be positive"));
                 }
-                let budget_ms = opt_u64_field(map, "budget_ms", "ServiceRequest")?;
+                let budget_ms = opt_u64_field(&map, "budget_ms", "ServiceRequest")?;
                 if budget_ms == Some(0) {
-                    return Err(serde::de::Error::new("budget_ms must be positive"));
+                    return Err(Error::new("budget_ms must be positive"));
                 }
-                let events = match map.get("events") {
-                    None | Some(Value::Null) => Vec::new(),
-                    Some(v) => Vec::<ScheduleEvent>::from_value(v)
-                        .map_err(|e| e.contextualize("events"))?,
-                };
+                let events: Vec<ScheduleEvent> = map
+                    .get::<Option<_>>("events")
+                    .unwrap_or(Ok(None))
+                    .map_err(|e| e.contextualize("events"))?
+                    .unwrap_or_default();
                 if !events.is_empty() && algo != AlgoChoice::Repair {
-                    return Err(serde::de::Error::new(
-                        "events are only valid on `repair` requests",
-                    ));
+                    return Err(Error::new("events are only valid on `repair` requests"));
                 }
                 Ok(ServiceRequest::Schedule(Box::new(ScheduleRequest {
-                    id: u64_field(map, "id", "ServiceRequest")?,
+                    id: u64_field(&map, "id", "ServiceRequest")?,
                     algo,
-                    instance: InstanceSpec::from_value(req_field(
-                        map,
-                        "instance",
-                        "ServiceRequest",
-                    )?)
-                    .map_err(|e| e.contextualize("instance"))?,
+                    instance: required(&map, "instance", "ServiceRequest")?
+                        .map_err(|e| e.contextualize("instance"))?,
                     deadline_ms,
                     budget_ms,
                     events,
                 })))
             }
             "stats" => {
-                check_fields(map, &["op", "id"], "ServiceRequest")?;
+                check_fields(&map, &["op", "id"], "ServiceRequest")?;
                 Ok(ServiceRequest::Stats {
-                    id: u64_field(map, "id", "ServiceRequest")?,
+                    id: u64_field(&map, "id", "ServiceRequest")?,
                 })
             }
             "ping" => {
-                check_fields(map, &["op", "id"], "ServiceRequest")?;
+                check_fields(&map, &["op", "id"], "ServiceRequest")?;
                 Ok(ServiceRequest::Ping {
-                    id: u64_field(map, "id", "ServiceRequest")?,
+                    id: u64_field(&map, "id", "ServiceRequest")?,
                 })
             }
-            other => Err(serde::de::Error::unknown_variant(other, "ServiceRequest")),
+            other => Err(Error::unknown_variant(other, "ServiceRequest")),
         }
     }
 }
@@ -452,17 +444,14 @@ impl ErrorCode {
 }
 
 impl Serialize for ErrorCode {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().into())
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(self.as_str())
     }
 }
 
 impl Deserialize for ErrorCode {
-    fn from_value(value: &Value) -> Result<Self, serde::de::Error> {
-        let Value::String(tag) = value else {
-            return Err(serde::de::Error::expected("string", "ErrorCode", value));
-        };
-        ErrorCode::parse(tag).ok_or_else(|| serde::de::Error::unknown_variant(tag, "ErrorCode"))
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        read_tag(de, "ErrorCode", ErrorCode::parse)
     }
 }
 
@@ -641,70 +630,67 @@ impl ServiceResponse {
 }
 
 impl Serialize for ServiceResponse {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
+    fn serialize(&self, s: &mut Serializer) {
+        let mut o = s.object();
         match self {
-            ServiceResponse::Ok(reply) => {
-                map.insert("ok", reply.to_value());
-            }
+            ServiceResponse::Ok(reply) => o.field("ok", &**reply),
             ServiceResponse::Stats { id, stats } => {
-                let mut inner = Map::new();
-                inner.insert("id", id.to_value());
-                inner.insert("stats", stats.to_value());
-                map.insert("stats", Value::Object(inner));
+                let mut inner = o.key("stats").object();
+                inner.field("id", id);
+                inner.field("stats", stats);
+                inner.end();
             }
             ServiceResponse::Pong { id } => {
-                let mut inner = Map::new();
-                inner.insert("id", id.to_value());
-                map.insert("pong", Value::Object(inner));
+                let mut inner = o.key("pong").object();
+                inner.field("id", id);
+                inner.end();
             }
             ServiceResponse::Err { id, error } => {
-                let mut inner = Map::new();
+                let mut inner = o.key("err").object();
                 if let Some(id) = id {
-                    inner.insert("id", id.to_value());
+                    inner.field("id", id);
                 }
-                inner.insert("error", error.to_value());
-                map.insert("err", Value::Object(inner));
+                inner.field("error", error);
+                inner.end();
             }
         }
-        Value::Object(map)
+        o.end();
     }
 }
 
 impl Deserialize for ServiceResponse {
-    fn from_value(value: &Value) -> Result<Self, serde::de::Error> {
-        let map = as_object(value, "ServiceResponse")?;
-        let mut tags = map.iter();
-        let (Some((tag, payload)), None) = (tags.next(), tags.next()) else {
-            return Err(serde::de::Error::new(
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let map = de.object("ServiceResponse")?;
+        let Some((tag, mut payload)) = map.first().filter(|_| map.len() == 1) else {
+            return Err(Error::new(
                 "expected a single-variant `ServiceResponse` tag",
             ));
         };
-        match tag.as_str() {
-            "ok" => Ok(ServiceResponse::Ok(Box::new(ScheduleReply::from_value(
-                payload,
+        match tag {
+            "ok" => Ok(ServiceResponse::Ok(Box::new(ScheduleReply::deserialize(
+                &mut payload,
             )?))),
             "stats" => {
-                let inner = as_object(payload, "ServiceResponse.stats")?;
+                let inner = payload.object("ServiceResponse.stats")?;
                 Ok(ServiceResponse::Stats {
-                    id: u64_field(inner, "id", "stats")?,
-                    stats: ServiceStats::from_value(req_field(inner, "stats", "stats")?)?,
+                    id: u64_field(&inner, "id", "stats")?,
+                    stats: required(&inner, "stats", "stats")??,
                 })
             }
             "pong" => {
-                let inner = as_object(payload, "ServiceResponse.pong")?;
+                let inner = payload.object("ServiceResponse.pong")?;
                 Ok(ServiceResponse::Pong {
-                    id: u64_field(inner, "id", "pong")?,
+                    id: u64_field(&inner, "id", "pong")?,
                 })
             }
             "err" => {
-                let inner = as_object(payload, "ServiceResponse.err")?;
+                let inner = payload.object("ServiceResponse.err")?;
                 Ok(ServiceResponse::Err {
-                    id: opt_u64_field(inner, "id", "err")?,
-                    error: ServiceError::from_value(req_field(inner, "error", "err")?)?,
+                    id: opt_u64_field(&inner, "id", "err")?,
+                    error: required(&inner, "error", "err")??,
                 })
             }
-            other => Err(serde::de::Error::unknown_variant(other, "ServiceResponse")),
+            other => Err(Error::unknown_variant(other, "ServiceResponse")),
         }
     }
 }

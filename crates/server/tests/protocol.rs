@@ -159,6 +159,33 @@ fn oversized_payload_is_rejected_and_framing_resyncs() {
     assert_eq!(handle.stop().malformed, 1);
 }
 
+/// A ~1 MB frame of `[` stays under the frame bound, so the parser sees
+/// it whole. Its nesting limit rejects it with a typed error instead of
+/// overflowing the connection thread's stack.
+#[test]
+fn deeply_nested_frame_is_a_typed_error() {
+    let (connector, handle) = start(quiet_config(1));
+    let mut client = connector.connect().expect("connect");
+
+    match roundtrip(&mut client, &"[".repeat(1 << 20)) {
+        ServiceResponse::Err { error, .. } => {
+            assert_eq!(error.code, ErrorCode::Malformed);
+            assert!(
+                error
+                    .message
+                    .starts_with("recursion limit exceeded at line 1"),
+                "{}",
+                error.message
+            );
+        }
+        other => panic!("expected malformed error, got {other:?}"),
+    }
+    assert_alive(&mut client, 1);
+
+    drop(client);
+    assert_eq!(handle.stop().malformed, 1);
+}
+
 #[test]
 fn inline_instance_that_fails_validation_is_a_typed_rejection() {
     let (connector, handle) = start(quiet_config(1));

@@ -1,226 +1,250 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! crates.io is unreachable in this build environment, so the workspace
-//! vendors a value-tree serialization framework with the same *surface*
-//! (`#[derive(Serialize, Deserialize)]`, `#[serde(default)]`,
-//! `#[serde(default = "path")]`, `serde_json::{to_string_pretty, from_str,
-//! Value}`) and the same JSON wire format as real serde for the shapes this
-//! workspace uses: named structs as objects (fields in declaration order),
-//! newtype structs as their inner value, tuple structs as arrays, unit enum
-//! variants as strings, and data-carrying variants as single-key objects.
+//! vendors a JSON-only serialization framework with the same derive
+//! *surface* (`#[derive(Serialize, Deserialize)]`, `#[serde(default)]`,
+//! `#[serde(default = "path")]`) and the same JSON wire format as real
+//! serde for the shapes this workspace uses: named structs as objects
+//! (fields in declaration order), newtype structs as their inner value,
+//! unit enum variants as strings, and newtype variants as single-key
+//! objects.
 //!
-//! Instead of the real crate's visitor-based data model, [`Serialize`]
-//! lowers to a [`value::Value`] tree and [`Deserialize`] lifts from one;
-//! `serde_json` is the only data format in the workspace, so the
-//! intermediate tree costs little and keeps the derive macro small.
+//! The traits are not real serde's visitor-based data model. JSON is the
+//! only format in the workspace, so both stream JSON text directly:
+//! [`Serialize`] writes into a [`ser::Serializer`] and [`Deserialize`]
+//! reads from a [`de::Deserializer`] pull parser, with no intermediate
+//! tree. [`value::Value`] is an ordinary type implementing both. Derived
+//! impls port to real serde unchanged; the hand-written impls in the
+//! workspace name these two types and would need rewriting.
 
 pub mod de;
+pub mod ser;
 pub mod value;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use value::{Number, Value};
+use de::{Deserializer, Error, Kind};
+use ser::Serializer;
 
-/// Types that can lower themselves to a JSON [`Value`] tree.
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Lowers `self` to a value tree.
-    fn to_value(&self) -> Value;
+    /// Writes `self` as exactly one JSON value.
+    fn serialize(&self, s: &mut Serializer);
 }
 
-/// Types that can be lifted back from a JSON [`Value`] tree.
+/// Types that can be read from JSON.
 pub trait Deserialize: Sized {
-    /// Lifts a value of `Self` out of the tree, or explains why it cannot.
-    fn from_value(v: &Value) -> Result<Self, de::Error>;
+    /// Reads exactly one JSON value as `Self`, or explains why it cannot.
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, s: &mut Serializer) {
+        (**self).serialize(s)
     }
 }
 
-macro_rules! impl_serde_uint {
-    ($($t:ty),* $(,)?) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from_u64(*self as u64))
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, de::Error> {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| de::Error::new(format!(
-                        "expected unsigned integer, found {}", v.kind()
-                    )))?;
-                <$t>::try_from(n).map_err(|_| {
-                    de::Error::new(format!(
-                        "integer {n} out of range for {}", stringify!($t)
-                    ))
-                })
-            }
-        }
-    )*};
+/// Reads a number, or fails with "expected {what}, found {kind}".
+#[inline]
+fn number(de: &mut Deserializer<'_>, what: &str) -> Result<value::Number, Error> {
+    match de.peek()? {
+        Kind::Number => de.number(),
+        other => Err(Error::new(format!("expected {what}, found {other}"))),
+    }
 }
-impl_serde_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_serde_int {
-    ($($t:ty),* $(,)?) => {$(
+    ($write:ident, $as:ident, $what:literal, $($t:ty),* $(,)?) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from_i64(*self as i64))
+            fn serialize(&self, s: &mut Serializer) {
+                s.$write(*self as _)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, de::Error> {
-                let n = v
-                    .as_i64()
-                    .ok_or_else(|| de::Error::new(format!(
-                        "expected integer, found {}", v.kind()
-                    )))?;
+            #[inline]
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+                let n = number(de, $what)?
+                    .$as()
+                    .ok_or_else(|| Error::new(concat!("expected ", $what, ", found number")))?;
                 <$t>::try_from(n).map_err(|_| {
-                    de::Error::new(format!(
-                        "integer {n} out of range for {}", stringify!($t)
-                    ))
+                    Error::new(format!("integer {n} out of range for {}", stringify!($t)))
                 })
             }
         }
     )*};
 }
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serde_int!(u64, as_u64, "unsigned integer", u8, u16, u32, u64, usize);
+impl_serde_int!(i64, as_i64, "integer", i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(*self))
+    fn serialize(&self, s: &mut Serializer) {
+        s.f64(*self)
     }
 }
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        v.as_f64()
-            .ok_or_else(|| de::Error::new(format!("expected number, found {}", v.kind())))
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        // Every `Number` converts to `f64`.
+        number(de, "number").map(|n| n.as_f64().unwrap_or_default())
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(*self as f64))
+    fn serialize(&self, s: &mut Serializer) {
+        s.f64(f64::from(*self))
     }
 }
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        f64::from_value(v).map(|f| f as f32)
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        f64::deserialize(de).map(|f| f as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, s: &mut Serializer) {
+        s.bool(*self)
     }
 }
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        v.as_bool()
-            .ok_or_else(|| de::Error::new(format!("expected boolean, found {}", v.kind())))
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
-    }
-}
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| de::Error::new(format!("expected string, found {}", v.kind())))
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        match de.peek()? {
+            Kind::Bool => de.bool(),
+            other => Err(Error::new(format!("expected boolean, found {other}"))),
+        }
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(self)
+    }
+}
+
+impl Serialize for String {
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(self)
+    }
+}
+impl Deserialize for String {
+    #[inline]
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        match de.peek()? {
+            Kind::String => de.string().map(|s| s.into_owned()),
+            other => Err(Error::new(format!("expected string, found {other}"))),
+        }
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, s: &mut Serializer) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(s),
+            None => s.null(),
         }
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        match de.peek()? {
+            Kind::Null => de.null().map(|()| None),
+            _ => T::deserialize(de).map(Some),
         }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| de::Error::new(format!("expected array, found {}", v.kind())))?;
-        items.iter().map(T::from_value).collect()
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, s: &mut Serializer) {
+        let mut a = s.array();
+        for x in self {
+            a.element(x);
+        }
+        a.end();
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, s: &mut Serializer) {
+        self.as_slice().serialize(s)
+    }
+}
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        expect_array(de)?;
+        let mut items = Vec::new();
+        de.elements(|_, de| T::deserialize(de).map(|x| items.push(x)))?;
+        Ok(items)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, s: &mut Serializer) {
+        self.as_slice().serialize(s)
     }
 }
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| de::Error::new(format!("expected array, found {}", v.kind())))?;
-        if items.len() != N {
-            return Err(de::Error::new(format!(
-                "expected array of length {N}, found length {}",
-                items.len()
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        expect_array(de)?;
+        let mut items = Vec::with_capacity(N);
+        let mut first_err = None;
+        let len = de.elements(|i, de| {
+            if i >= N || first_err.is_some() {
+                return de.skip();
+            }
+            match de.deferred::<T>()? {
+                Ok(x) => items.push(x),
+                Err(e) => first_err = Some(e),
+            }
+            Ok(())
+        })?;
+        if len != N {
+            return Err(Error::new(format!(
+                "expected array of length {N}, found length {len}"
             )));
         }
-        let lifted: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
-        Ok(<[T; N]>::try_from(lifted).unwrap_or_else(|_| unreachable!("length checked above")))
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        <[T; N]>::try_from(items).map_err(|_| Error::new("array length changed while reading"))
+    }
+}
+
+/// Fails unless an array comes next.
+#[inline]
+fn expect_array(de: &mut Deserializer<'_>) -> Result<(), Error> {
+    match de.peek()? {
+        Kind::Array => Ok(()),
+        other => Err(Error::new(format!("expected array, found {other}"))),
     }
 }
 
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+) of $len:literal),* $(,)?) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, s: &mut Serializer) {
+                let mut a = s.array();
+                $(a.element(&self.$idx);)+
+                a.end();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, de::Error> {
-                let items = v.as_array().ok_or_else(|| {
-                    de::Error::new(format!("expected array, found {}", v.kind()))
+            #[allow(non_snake_case)]
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+                expect_array(de)?;
+                $(let mut $name: Option<Result<$name, Error>> = None;)+
+                let len = de.elements(|i, de| {
+                    match i {
+                        $($idx => $name = Some(de.deferred()?),)+
+                        _ => de.skip()?,
+                    }
+                    Ok(())
                 })?;
-                if items.len() != $len {
-                    return Err(de::Error::new(format!(
-                        "expected {}-tuple, found array of length {}",
-                        $len,
-                        items.len()
+                if len != $len {
+                    return Err(Error::new(format!(
+                        "expected {}-tuple, found array of length {len}",
+                        $len
                     )));
                 }
-                Ok(($($name::from_value(&items[$idx])?,)+))
+                let missing = || Error::new("tuple element missing");
+                Ok(($($name.ok_or_else(missing)??,)+))
             }
         }
     )*};
@@ -232,42 +256,56 @@ impl_serde_tuple!(
     (A: 0, B: 1, C: 2, D: 3) of 4,
 );
 
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(v: &T) -> String {
+        let mut s = Serializer::compact();
+        v.serialize(&mut s);
+        s.into_string()
+    }
+
+    fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+        de::from_str(text)
+    }
+
     #[test]
     fn primitive_roundtrips() {
-        assert_eq!(u32::from_value(&42u32.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-3i64).to_value()).unwrap(), -3);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
-        assert_eq!(
-            <Option<u8>>::from_value(&None::<u8>.to_value()).unwrap(),
-            None
-        );
-        assert_eq!(
-            <[u64; 3]>::from_value(&[1u64, 2, 3].to_value()).unwrap(),
-            [1, 2, 3]
-        );
-        let pair: (u64, u64) = Deserialize::from_value(&(7u64, 9u64).to_value()).unwrap();
-        assert_eq!(pair, (7, 9));
+        assert_eq!(read::<u32>(&json(&42u32)).unwrap(), 42);
+        assert_eq!(read::<i64>(&json(&-3i64)).unwrap(), -3);
+        assert_eq!(read::<String>(&json("hi")).unwrap(), "hi");
+        assert_eq!(read::<Option<u8>>(&json(&None::<u8>)).unwrap(), None);
+        assert_eq!(read::<[u64; 3]>(&json(&[1u64, 2, 3])).unwrap(), [1, 2, 3]);
+        assert_eq!(read::<(u64, u64)>(&json(&(7u64, 9u64))).unwrap(), (7, 9));
     }
 
     #[test]
     fn type_errors_are_reported() {
-        assert!(u8::from_value(&Value::String("x".into())).is_err());
-        assert!(u8::from_value(&Value::Number(Number::from_u64(300))).is_err());
-        assert!(<[u64; 3]>::from_value(&vec![1u64, 2].to_value()).is_err());
+        fn msg<T>(r: Result<T, Error>) -> String {
+            r.err().map(|e| e.to_string()).unwrap_or_default()
+        }
+        assert_eq!(
+            msg(read::<u8>("\"x\"")),
+            "expected unsigned integer, found string"
+        );
+        assert_eq!(msg(read::<u8>("300")), "integer 300 out of range for u8");
+        assert_eq!(
+            msg(read::<u8>("-1")),
+            "expected unsigned integer, found number"
+        );
+        assert_eq!(
+            msg(read::<[u64; 3]>("[1, 2]")),
+            "expected array of length 3, found length 2"
+        );
+        // The length is checked before the elements.
+        assert_eq!(
+            msg(read::<(u8, u8)>("[\"a\", 1, 2]")),
+            "expected 2-tuple, found array of length 3"
+        );
+        assert_eq!(
+            msg(read::<(u8, u8)>("[1, \"b\"]")),
+            "expected unsigned integer, found string"
+        );
     }
 }

@@ -1,12 +1,16 @@
 //! The JSON value tree: [`Value`], [`Number`] and the insertion-ordered
 //! [`Map`].
 //!
-//! `Map` preserves insertion order so that serializing a derived struct
-//! emits fields in declaration order, matching what real `serde_json`
-//! produces when streaming a struct directly to a writer.
+//! `Value` is an ordinary [`Serialize`]/[`Deserialize`] type: derived
+//! types never pass through it. `Map` preserves insertion order, and a
+//! repeated key keeps its first position with its last value.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
+
+use crate::de::{Deserializer, Error, Kind};
+use crate::ser::Serializer;
+use crate::{Deserialize, Serialize};
 
 /// A JSON number: unsigned, signed or floating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,13 +73,7 @@ impl Number {
 
 impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Number::PosInt(n) => write!(f, "{n}"),
-            Number::NegInt(n) => write!(f, "{n}"),
-            // {:?} keeps a decimal point ("1.0"), so the output re-parses
-            // as a float rather than collapsing to an integer.
-            Number::Float(x) => write!(f, "{x:?}"),
-        }
+        Value::Number(*self).fmt(f)
     }
 }
 
@@ -167,18 +165,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// A short noun for error messages ("string", "array", ...).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "boolean",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// True for `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -302,60 +288,54 @@ impl IndexMut<usize> for Value {
     }
 }
 
-/// Escapes `s` into `out` as the body of a JSON string literal.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+impl fmt::Display for Value {
+    /// Compact JSON rendering (`{"a":1}`), like `serde_json`'s `Display`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = Serializer::compact();
+        self.serialize(&mut s);
+        f.write_str(&s.into_string())
+    }
+}
+
+impl Serialize for Value {
+    fn serialize(&self, s: &mut Serializer) {
+        match self {
+            Value::Null => s.null(),
+            Value::Bool(b) => s.bool(*b),
+            Value::Number(Number::PosInt(n)) => s.u64(*n),
+            Value::Number(Number::NegInt(n)) => s.i64(*n),
+            Value::Number(Number::Float(x)) => s.f64(*x),
+            Value::String(text) => s.str(text),
+            Value::Array(items) => items.serialize(s),
+            Value::Object(map) => {
+                let mut o = s.object();
+                for (k, v) in map.iter() {
+                    o.field(k, v);
+                }
+                o.end();
             }
-            c => out.push(c),
         }
     }
 }
 
-impl fmt::Display for Value {
-    /// Compact JSON rendering (`{"a":1}`), like `serde_json`'s `Display`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(n) => write!(f, "{n}"),
-            Value::String(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                escape_into(s, &mut buf);
-                write!(f, "\"{buf}\"")
-            }
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
+impl Deserialize for Value {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        Ok(match de.peek()? {
+            Kind::Null => de.null().map(|()| Value::Null)?,
+            Kind::Bool => Value::Bool(de.bool()?),
+            Kind::Number => Value::Number(de.number()?),
+            Kind::String => Value::String(de.string()?.into_owned()),
+            Kind::Array => Value::Array(Vec::deserialize(de)?),
+            Kind::Object => {
+                de.open_object()?;
+                let mut map = Map::new();
+                while let Some(key) = de.next_key()? {
+                    let value = Value::deserialize(de)?;
+                    map.insert(key, value);
                 }
-                f.write_str("]")
+                Value::Object(map)
             }
-            Value::Object(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut buf = String::with_capacity(k.len() + 2);
-                    escape_into(k, &mut buf);
-                    write!(f, "\"{buf}\":{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        })
     }
 }
 

@@ -2,20 +2,25 @@
 //!
 //! Hand-rolled `#[derive(Serialize)]` / `#[derive(Deserialize)]` built
 //! directly on `proc_macro` (no syn/quote — crates.io is unreachable in
-//! this build environment). The derives target the value-tree traits of
-//! the local `serde` shim and reproduce real serde's JSON shapes for the
-//! forms this workspace uses:
+//! this build environment). The derives target the streaming traits of
+//! the local `serde` shim — `Serialize` writes JSON text, `Deserialize`
+//! reads it from the shim's pull parser — and reproduce real serde's JSON
+//! shapes for the forms this workspace uses:
 //!
-//! - named struct   -> object, fields in declaration order
-//! - newtype struct -> the inner value
-//! - tuple struct   -> array
-//! - unit variant   -> string `"Variant"`
-//! - tuple variant  -> single-key object `{"Variant": payload}`
+//! - named struct    -> object, fields in declaration order
+//! - newtype struct  -> the inner value
+//! - unit variant    -> string `"Variant"`
+//! - newtype variant -> single-key object `{"Variant": payload}`
+//!
+//! A derived `Deserialize` ignores unknown keys, lets the last of a
+//! repeated key win, and reports the first failing field in declaration
+//! order (see `serde::de::Field`).
 //!
 //! Supported attributes: `#[serde(default)]` and
 //! `#[serde(default = "path")]`. `Option` fields default to `None` when
-//! missing, as with real serde. Generic types and struct variants are out
-//! of scope and produce a compile error pointing here.
+//! missing, as with real serde. Generic types, tuple structs and variants
+//! of more than one field, unit structs and struct variants are out of
+//! scope and produce a compile error pointing here.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -36,14 +41,14 @@ struct Field {
 
 struct Variant {
     name: String,
-    /// Number of tuple payload elements; 0 for unit variants.
-    arity: usize,
+    /// A one-field tuple variant; otherwise a unit variant.
+    newtype: bool,
 }
 
 enum Data {
     NamedStruct(Vec<Field>),
-    /// Field count (1 = newtype).
-    TupleStruct(usize),
+    /// A one-field tuple struct.
+    Newtype,
     Enum(Vec<Variant>),
 }
 
@@ -94,16 +99,18 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
             Data::NamedStruct(parse_named_fields(g.stream())?)
         }
-        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
-            Data::TupleStruct(count_tuple_fields(g.stream()))
+        ("struct", Some(TokenTree::Group(g)))
+            if g.delimiter() == Delimiter::Parenthesis && count_tuple_fields(g.stream()) == 1 =>
+        {
+            Data::Newtype
         }
         ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
             Data::Enum(parse_variants(g.stream())?)
         }
-        ("struct", Some(TokenTree::Punct(p))) if p.as_char() == ';' => Data::TupleStruct(0),
         _ => {
             return Err(format!(
-                "serde shim derive could not parse the body of `{name}`"
+                "serde shim derive supports named structs, one-field tuple structs \
+                 and enums; it could not parse the body of `{name}`"
             ))
         }
     };
@@ -264,12 +271,17 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
             return Ok(variants);
         }
         let name = expect_ident(&mut toks)?;
-        let mut arity = 0usize;
+        let mut newtype = false;
         // Payload, discriminant, then the separating comma.
         loop {
             match toks.peek() {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    arity = count_tuple_fields(g.stream());
+                    if count_tuple_fields(g.stream()) != 1 {
+                        return Err(format!(
+                            "serde shim derive supports only one-field tuple variants, not `{name}`"
+                        ));
+                    }
+                    newtype = true;
                     toks.next();
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -288,7 +300,7 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
                 }
             }
         }
-        variants.push(Variant { name, arity });
+        variants.push(Variant { name, newtype });
     }
 }
 
@@ -300,55 +312,29 @@ fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.data {
         Data::NamedStruct(fields) => {
-            let mut out = String::from("let mut map = ::serde::value::Map::new();\n");
+            let mut out = String::from("let mut o = s.object();\n");
             for f in fields {
-                out.push_str(&format!(
-                    "map.insert(\"{n}\", ::serde::Serialize::to_value(&self.{n}));\n",
-                    n = f.name
-                ));
+                out.push_str(&format!("o.field(\"{n}\", &self.{n});\n", n = f.name));
             }
-            out.push_str("::serde::value::Value::Object(map)");
+            out.push_str("o.end();");
             out
         }
-        Data::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Data::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::value::Value::Array(vec![{}])", items.join(", "))
-        }
+        Data::Newtype => "::serde::Serialize::serialize(&self.0, s)".to_string(),
         Data::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match v.arity {
-                    0 => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::value::Value::String(\"{vn}\".to_string()),\n"
-                    )),
-                    1 => arms.push_str(&format!(
-                        "{name}::{vn}(x0) => {{\n\
-                         let mut map = ::serde::value::Map::new();\n\
-                         map.insert(\"{vn}\", ::serde::Serialize::to_value(x0));\n\
-                         ::serde::value::Value::Object(map)\n\
+                arms.push_str(&if v.newtype {
+                    format!(
+                        "{name}::{vn}(x) => {{\n\
+                         let mut o = s.object();\n\
+                         o.field(\"{vn}\", x);\n\
+                         o.end();\n\
                          }}\n"
-                    )),
-                    n => {
-                        let binders: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
-                        let items: Vec<String> = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{\n\
-                             let mut map = ::serde::value::Map::new();\n\
-                             map.insert(\"{vn}\", ::serde::value::Value::Array(vec![{items}]));\n\
-                             ::serde::value::Value::Object(map)\n\
-                             }}\n",
-                            binds = binders.join(", "),
-                            items = items.join(", ")
-                        ));
-                    }
-                }
+                    )
+                } else {
+                    format!("{name}::{vn} => s.str(\"{vn}\"),\n")
+                });
             }
             format!("match self {{\n{arms}}}")
         }
@@ -356,7 +342,7 @@ fn gen_serialize(input: &Input) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::value::Value {{\n\
+         fn serialize(&self, s: &mut ::serde::ser::Serializer) {{\n\
          {body}\n\
          }}\n\
          }}\n"
@@ -367,99 +353,70 @@ fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.data {
         Data::NamedStruct(fields) => {
-            let mut out = format!(
-                "let obj = v.as_object().ok_or_else(|| \
-                 ::serde::de::Error::expected(\"object\", \"{name}\", v))?;\n\
-                 Ok({name} {{\n"
-            );
+            let mut slots = String::new();
+            let mut arms = String::new();
+            let mut finish = String::new();
             for f in fields {
+                let n = &f.name;
                 let missing = match &f.default {
-                    DefaultKind::Required => format!(
-                        "return Err(::serde::de::Error::missing_field(\"{n}\", \"{name}\"))",
-                        n = f.name
-                    ),
-                    DefaultKind::Std => "::core::default::Default::default()".to_string(),
-                    DefaultKind::Path(path) => format!("{path}()"),
+                    DefaultKind::Required => {
+                        format!("Err(::serde::de::Error::missing_field(\"{n}\", \"{name}\"))")
+                    }
+                    DefaultKind::Std => "Ok(::core::default::Default::default())".to_string(),
+                    DefaultKind::Path(path) => format!("Ok({path}())"),
                 };
-                out.push_str(&format!(
-                    "{n}: match obj.get(\"{n}\") {{\n\
-                     Some(inner) => ::serde::Deserialize::from_value(inner)\
-                     .map_err(|e| e.contextualize(\"{n}\"))?,\n\
-                     None => {missing},\n\
-                     }},\n",
-                    n = f.name
-                ));
+                slots.push_str(&format!("let mut f_{n} = ::serde::de::Field::new();\n"));
+                arms.push_str(&format!("\"{n}\" => f_{n}.read(de)?,\n"));
+                finish.push_str(&format!("{n}: f_{n}.finish(\"{n}\", || {missing})?,\n"));
             }
-            out.push_str("})");
-            out
-        }
-        Data::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Data::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
             format!(
-                "let items = v.as_array().ok_or_else(|| \
-                 ::serde::de::Error::expected(\"array\", \"{name}\", v))?;\n\
-                 if items.len() != {n} {{\n\
-                 return Err(::serde::de::Error::bad_arity(\"{name}\", {n}, items.len()));\n\
+                "match de.peek()? {{\n\
+                 ::serde::de::Kind::Object => de.open_object()?,\n\
+                 other => return Err(::serde::de::Error::expected(\"object\", \"{name}\", other)),\n\
                  }}\n\
-                 Ok({name}({}))",
-                items.join(", ")
+                 {slots}\
+                 while let Some(key) = de.next_key()? {{\n\
+                 match &*key {{\n\
+                 {arms}\
+                 _ => de.skip()?,\n\
+                 }}\n\
+                 }}\n\
+                 Ok({name} {{\n{finish}}})"
             )
         }
+        Data::Newtype => format!("Ok({name}(::serde::Deserialize::deserialize(de)?))"),
         Data::Enum(variants) => {
             let mut unit_arms = String::new();
-            let mut data_arms = String::new();
+            let mut newtype_arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match v.arity {
-                    0 => unit_arms.push_str(&format!("\"{vn}\" => Ok({name}::{vn}),\n")),
-                    1 => data_arms.push_str(&format!(
+                if v.newtype {
+                    newtype_arms.push_str(&format!(
                         "\"{vn}\" => Ok({name}::{vn}(\
-                         ::serde::Deserialize::from_value(inner)\
-                         .map_err(|e| e.contextualize(\"{vn}\"))?)),\n"
-                    )),
-                    n => {
-                        let items: Vec<String> = (0..n)
-                            .map(|i| {
-                                format!(
-                                    "::serde::Deserialize::from_value(&items[{i}])\
-                                     .map_err(|e| e.contextualize(\"{vn}\"))?"
-                                )
-                            })
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "\"{vn}\" => {{\n\
-                             let items = inner.as_array().ok_or_else(|| \
-                             ::serde::de::Error::expected(\"array\", \"{name}\", inner))?;\n\
-                             if items.len() != {n} {{\n\
-                             return Err(::serde::de::Error::bad_arity(\"{name}\", {n}, items.len()));\n\
-                             }}\n\
-                             Ok({name}::{vn}({items}))\n\
-                             }}\n",
-                            items = items.join(", ")
-                        ));
-                    }
+                         ::serde::de::Field::variant(de, &tag)?\
+                         .finish(\"{vn}\", || Err(::serde::de::Error::missing_field(\"{vn}\", \"{name}\")))?)),\n"
+                    ));
+                } else {
+                    unit_arms.push_str(&format!("\"{vn}\" => Ok({name}::{vn}),\n"));
                 }
             }
             format!(
-                "match v {{\n\
-                 ::serde::value::Value::String(tag) => match tag.as_str() {{\n\
+                "match de.peek()? {{\n\
+                 ::serde::de::Kind::String => match &*de.string()? {{\n\
                  {unit_arms}\
                  other => Err(::serde::de::Error::unknown_variant(other, \"{name}\")),\n\
                  }},\n\
-                 ::serde::value::Value::Object(map) => {{\n\
-                 let (tag, inner) = map.iter().next().ok_or_else(|| \
-                 ::serde::de::Error::expected(\"single-key object\", \"{name}\", v))?;\n\
-                 let _ = inner;\n\
-                 match tag.as_str() {{\n\
-                 {data_arms}\
+                 ::serde::de::Kind::Object => {{\n\
+                 de.open_object()?;\n\
+                 let Some(tag) = de.next_key()? else {{\n\
+                 return Err(::serde::de::Error::expected(\
+                 \"single-key object\", \"{name}\", ::serde::de::Kind::Object));\n\
+                 }};\n\
+                 match &*tag {{\n\
+                 {newtype_arms}\
                  other => Err(::serde::de::Error::unknown_variant(other, \"{name}\")),\n\
                  }}\n\
-                 }},\n\
+                 }}\n\
                  other => Err(::serde::de::Error::expected(\"string or object\", \"{name}\", other)),\n\
                  }}"
             )
@@ -468,7 +425,7 @@ fn gen_deserialize(input: &Input) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::value::Value) -> \
+         fn deserialize(de: &mut ::serde::de::Deserializer<'_>) -> \
          ::std::result::Result<Self, ::serde::de::Error> {{\n\
          {body}\n\
          }}\n\

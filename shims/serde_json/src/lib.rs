@@ -3,26 +3,23 @@
 //! Provides the workspace's actual usage surface: [`to_string`],
 //! [`to_string_pretty`] (2-space indent, matching real serde_json),
 //! [`from_str`], and [`Value`]/[`Map`]/[`Number`] re-exported from the
-//! local `serde` shim. Serialization lowers through `serde::Serialize`'s
-//! value tree; parsing is a from-scratch recursive-descent JSON reader
-//! with full escape handling.
+//! local `serde` shim. Text goes straight to and from the target type
+//! through the shim's writer and pull parser; no [`Value`] is built
+//! unless `Value` is the type asked for. As in serde_json, non-finite
+//! floats are written as `null`, float literals beyond `f64` range are
+//! rejected, and nesting deeper than [`serde::de::MAX_DEPTH`] levels is
+//! an error rather than a stack overflow.
 
 pub use serde::value::{Map, Number, Value};
 
 use std::fmt;
 
+use serde::ser::Serializer;
+
 /// Serialization/deserialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
-}
-
-impl Error {
-    fn new(message: impl Into<String>) -> Self {
-        Error {
-            message: message.into(),
-        }
-    }
 }
 
 impl fmt::Display for Error {
@@ -35,332 +32,29 @@ impl std::error::Error for Error {}
 
 impl From<serde::de::Error> for Error {
     fn from(e: serde::de::Error) -> Self {
-        Error::new(e.to_string())
+        Error {
+            message: e.to_string(),
+        }
     }
 }
 
 /// Serializes `value` to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_string())
+    let mut s = Serializer::compact();
+    value.serialize(&mut s);
+    Ok(s.into_string())
 }
 
 /// Serializes `value` to pretty JSON with 2-space indentation.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_pretty(&value.to_value(), 0, &mut out);
-    Ok(out)
-}
-
-/// Serializes `value` to a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
-}
-
-/// Deserializes a `T` from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
-    Ok(T::from_value(value)?)
+    let mut s = Serializer::pretty();
+    value.serialize(&mut s);
+    Ok(s.into_string())
 }
 
 /// Parses JSON text into any deserializable type.
 pub fn from_str<T: serde::Deserialize>(input: &str) -> Result<T, Error> {
-    let value = parse_value_complete(input)?;
-    Ok(T::from_value(&value)?)
-}
-
-fn write_pretty(v: &Value, indent: usize, out: &mut String) {
-    const STEP: usize = 2;
-    match v {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + STEP);
-                write_pretty(item, indent + STEP, out);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Object(map) if !map.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + STEP);
-                out.push_str(&Value::String(k.clone()).to_string());
-                out.push_str(": ");
-                write_pretty(val, indent + STEP, out);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
-        }
-        // Empty containers and scalars use the compact form.
-        other => out.push_str(&other.to_string()),
-    }
-}
-
-fn push_indent(out: &mut String, n: usize) {
-    for _ in 0..n {
-        out.push(' ');
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value_complete(input: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        // 1-based line/column of the current position, like serde_json.
-        let consumed = &self.bytes[..self.pos.min(self.bytes.len())];
-        let line = 1 + consumed.iter().filter(|&&b| b == b'\n').count();
-        let column = 1 + consumed.iter().rev().take_while(|&&b| b != b'\n').count();
-        Error::new(format!("{msg} at line {line} column {column}"))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{kw}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => {
-                self.expect_keyword("null")?;
-                Ok(Value::Null)
-            }
-            Some(b't') => {
-                self.expect_keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            return Ok(Value::Array(items));
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b'}')?;
-            return Ok(Value::Object(map));
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
-                }
-                Some(_) => {
-                    // Consume the longest run of plain bytes in one step and
-                    // validate it as UTF-8 once. Re-validating the whole
-                    // remaining input per character would make parsing
-                    // quadratic in document size (minutes on multi-MB docs).
-                    let start = self.pos;
-                    let mut end = start;
-                    while let Some(&b) = self.bytes.get(end) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        end += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    if run.chars().any(|c| c.is_control()) {
-                        return Err(self.err("control character in string"));
-                    }
-                    out.push_str(run);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        let negative = self.eat(b'-');
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            let f: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
-            Ok(Value::Number(Number::from_f64(f)))
-        } else if negative {
-            let n: i64 = text.parse().map_err(|_| self.err("integer out of range"))?;
-            Ok(Value::Number(Number::from_i64(n)))
-        } else {
-            let n: u64 = text.parse().map_err(|_| self.err("integer out of range"))?;
-            Ok(Value::Number(Number::from_u64(n)))
-        }
-    }
+    Ok(serde::de::from_str(input)?)
 }
 
 #[cfg(test)]
@@ -416,6 +110,51 @@ mod tests {
         assert_eq!(v.as_str(), Some("\u{1F600}"));
         let lit: Value = from_str(r#""😀""#).unwrap();
         assert_eq!(lit.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_null() {
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(
+            to_string(&[f64::INFINITY, -f64::INFINITY, 1.5]).unwrap(),
+            "[null,null,1.5]"
+        );
+        assert_eq!(to_string_pretty(&f32::NAN).unwrap(), "null");
+        // Every written float reads back.
+        let text = to_string(&[f64::MAX, f64::MIN_POSITIVE, -0.0, 1e300]).unwrap();
+        assert_eq!(
+            from_str::<Vec<f64>>(&text).unwrap(),
+            [f64::MAX, f64::MIN_POSITIVE, -0.0, 1e300]
+        );
+    }
+
+    #[test]
+    fn out_of_range_float_literals_are_rejected() {
+        let e = from_str::<Value>("[1e400, -1e400, 1.5]").unwrap_err();
+        assert_eq!(e.to_string(), "number out of range at line 1 column 7");
+        let e = from_str::<f64>("-1e400").unwrap_err();
+        assert_eq!(e.to_string(), "number out of range at line 1 column 7");
+        // Underflow is not an error: it reads as zero, as in serde_json.
+        assert_eq!(from_str::<f64>("1e-400").unwrap(), 0.0);
+        assert_eq!(from_str::<f64>("1.7976931348623157e308").unwrap(), f64::MAX);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let depth = serde::de::MAX_DEPTH;
+        let ok = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert_eq!(to_string(&from_str::<Value>(&ok).unwrap()).unwrap(), ok);
+        let deep = format!("{}1{}", "[".repeat(depth + 1), "]".repeat(depth + 1));
+        let e = from_str::<Value>(&deep).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!("recursion limit exceeded at line 1 column {}", depth + 2)
+        );
+        let objects = "{\"a\":".repeat(depth + 1);
+        assert!(from_str::<Value>(&objects)
+            .unwrap_err()
+            .to_string()
+            .starts_with("recursion limit"));
     }
 
     #[test]

@@ -319,6 +319,32 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Wire-format pin: one FNV-1a digest over the pretty JSON of the whole
+/// paper suite (`SuiteConfig::default()` on `zedboard_pr`), one over PA's
+/// compact schedule JSON for it. Both were taken when the JSON layer
+/// still went through an intermediate value tree, so a change to how
+/// either direction is encoded fails here.
+#[test]
+fn wire_format_matches_pinned_digests() {
+    let suite = SuiteConfig::default().generate(&Architecture::zedboard_pr());
+    let pa = PaScheduler::new(SchedulerConfig {
+        floorplan: generous_floorplan_limit(),
+        ..Default::default()
+    });
+    let (mut instances, mut schedules) = (0xCBF2_9CE4_8422_2325u64, 0xCBF2_9CE4_8422_2325u64);
+    for inst in suite.iter().flatten() {
+        instances = fnv1a(instances, inst.to_json().as_bytes());
+        let schedule = pa.schedule(inst).unwrap();
+        let json = serde_json::to_string(&schedule).expect("schedules serialize");
+        schedules = fnv1a(schedules, json.as_bytes());
+    }
+    assert_eq!(
+        (instances, schedules),
+        (16_803_829_529_160_568_190, 10_652_309_308_245_135_985),
+        "instance or schedule JSON is no longer byte-identical"
+    );
+}
+
 /// Floorplanner limits under which the node budget alone stops a search:
 /// the wall-clock backstop is far beyond any search's length, even in a
 /// debug build.

@@ -1,6 +1,7 @@
 //! The shipped instance fixtures in `instances/` load, validate, and
 //! schedule — guarding both the files and JSON format stability.
 
+use prfpga::model::ModelError;
 use prfpga::prelude::*;
 
 fn fixtures() -> Vec<std::path::PathBuf> {
@@ -59,4 +60,73 @@ fn comm_fixture_really_carries_costs() {
         .expect("comm fixture present");
     let inst = ProblemInstance::load(&path).unwrap();
     assert!(inst.graph.edge_costs.iter().any(|&c| c > 0));
+}
+
+/// Parses `text` as an instance, turning a panic into a test failure
+/// that names the input.
+fn parse_without_panic(text: &str, what: &str) -> Result<ProblemInstance, ModelError> {
+    std::panic::catch_unwind(|| ProblemInstance::from_json(text))
+        .unwrap_or_else(|_| panic!("{what}: from_json panicked"))
+}
+
+/// Malformed-input corpus built from one fixture: every byte-prefix
+/// truncation and single-byte substitutions at 500 seeded offsets. Each
+/// input yields an instance or a typed `ModelError`, never a panic.
+#[test]
+fn malformed_fixture_bytes_yield_typed_errors() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("instances/chain_10t_s3.json");
+    let text = std::fs::read_to_string(path).unwrap();
+    assert!(
+        text.is_ascii(),
+        "substitutions below assume one byte per char"
+    );
+
+    for len in 0..text.len() {
+        match parse_without_panic(&text[..len], &format!("prefix of {len} bytes")) {
+            Err(ModelError::Parse(_)) => {}
+            other => panic!("prefix of {len} bytes: expected a parse error, got {other:?}"),
+        }
+    }
+
+    const SUBSTITUTES: &[u8] = b"{}[]\",:-+0123456789.eEtfnu\\ x";
+    let mut state = 0x5EED_2016u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize
+    };
+    let (mut parsed, mut rejected) = (0, 0);
+    for _ in 0..500 {
+        let at = next() % text.len();
+        let byte = SUBSTITUTES[next() % SUBSTITUTES.len()];
+        let mut bytes = text.clone().into_bytes();
+        bytes[at] = byte;
+        let mutated = String::from_utf8(bytes).unwrap();
+        match parse_without_panic(&mutated, &format!("byte {at} set to {:?}", byte as char)) {
+            Ok(_) => parsed += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    // Most substitutions break the syntax; some (a digit for a digit, a
+    // space for a space) leave a valid instance.
+    assert!(
+        parsed > 0 && rejected > parsed,
+        "{parsed} parsed, {rejected} rejected"
+    );
+}
+
+/// Nesting is capped, so a deep document is a parse error rather than a
+/// stack overflow.
+#[test]
+fn deeply_nested_input_is_a_parse_error() {
+    match ProblemInstance::from_json(&"[".repeat(1_000_000)) {
+        Err(ModelError::Parse(msg)) => {
+            assert!(
+                msg.starts_with("recursion limit exceeded at line 1"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
 }
