@@ -51,8 +51,6 @@ pub enum ValidationError {
         /// Its region.
         region: RegionId,
     },
-    /// The regions together exceed the device capacity.
-    DeviceOverCapacity,
     /// A region names a fabric the platform does not have.
     FabricOutOfRange {
         /// Offending region.
@@ -151,7 +149,6 @@ impl fmt::Display for ValidationError {
             RegionTooSmall { task, region } => {
                 write!(f, "task {} does not fit in region {}", task.0, region.0)
             }
-            DeviceOverCapacity => write!(f, "regions exceed device capacity"),
             FabricOutOfRange { region } => {
                 write!(f, "region {} names a nonexistent fabric", region.0)
             }

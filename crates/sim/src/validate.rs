@@ -35,7 +35,7 @@ use crate::error::ValidationError;
 ///    set, hardware in regions / software on in-range cores, slot length
 ///    equal to the implementation time;
 /// 2. every region at least as large as every implementation it hosts;
-///    total region demand within device capacity;
+///    the region demand on each fabric within that fabric's capacity;
 /// 3. all data dependencies respected;
 /// 4. no overlap of tasks on a core, of tasks (or reconfigurations) in a
 ///    region, or of reconfigurations on the single controller;
@@ -329,8 +329,7 @@ fn check_shapes(instance: &ProblemInstance, schedule: &Schedule) -> Result<(), V
 
 /// Device capacity, per fabric: every region names a real fabric and the
 /// regions hosted on each fabric together fit it. On a single fabric this
-/// degenerates to the original whole-device check (and keeps its
-/// [`ValidationError::DeviceOverCapacity`] verdict).
+/// is the whole-device check, reported for fabric 0.
 fn check_capacity(instance: &ProblemInstance, schedule: &Schedule) -> Result<(), ValidationError> {
     let arch = &instance.architecture;
     let nf = arch.num_fabrics();
@@ -346,11 +345,7 @@ fn check_capacity(instance: &ProblemInstance, schedule: &Schedule) -> Result<(),
             .region_resources_on(f as u32)
             .fits_in(&arch.fabric(f).max_res)
         {
-            return Err(if nf == 1 {
-                ValidationError::DeviceOverCapacity
-            } else {
-                ValidationError::FabricOverCapacity { fabric: f as u32 }
-            });
+            return Err(ValidationError::FabricOverCapacity { fabric: f as u32 });
         }
     }
     Ok(())
@@ -595,7 +590,7 @@ mod tests {
         });
         assert_eq!(
             validate_both(&inst, &s),
-            Err(ValidationError::DeviceOverCapacity)
+            Err(ValidationError::FabricOverCapacity { fabric: 0 })
         );
     }
 
