@@ -45,7 +45,8 @@ impl HeftScheduler {
             .task_ids()
             .filter(|t| indeg[t.index()] == 0)
             .collect();
-        let mut ps = PartialSchedule::new(inst);
+        // Like IS-k, HEFT opens every region on fabric 0.
+        let mut ps = PartialSchedule::new(inst, inst.architecture.fabric(0));
         while !ready.is_empty() {
             let (pos, _) = ready
                 .iter()
@@ -109,6 +110,21 @@ mod tests {
                 &format!("heft{n}"),
                 &GraphConfig::standard(n),
                 Architecture::zedboard(),
+            );
+            let s = heft.schedule(&inst).unwrap();
+            validate_schedule(&inst, &s).expect("valid");
+        }
+    }
+
+    #[test]
+    fn valid_on_multi_fabric_platforms() {
+        use prfpga_model::Platform;
+        let heft = HeftScheduler::new();
+        for platform in [Platform::alveo_u250(), Platform::dual_zedboard()] {
+            let inst = TaskGraphGenerator::new(11).generate(
+                "heft_multi",
+                &GraphConfig::standard(120),
+                Architecture::on_platform(2, platform),
             );
             let s = heft.schedule(&inst).unwrap();
             validate_schedule(&inst, &s).expect("valid");

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use prfpga_dag::{CpmAnalysis, Dag};
 use prfpga_floorplan::{FloorplanOutcome, Floorplanner, FloorplannerConfig};
 use prfpga_model::{CancelToken, ProblemInstance, Schedule, TaskId, Time};
-use prfpga_sched::SchedError;
+use prfpga_sched::{SchedError, VirtualTarget};
 
 use crate::partial::{PartialSchedule, TaskOption};
 
@@ -118,17 +118,17 @@ impl IsKScheduler {
         // IS-k (ref. [6]) schedules onto one device. On a multi-fabric
         // platform it keeps to fabric 0: every region it opens lands there
         // (see `PartialSchedule::into_schedule`), so capacity and
-        // reconfiguration times come from that fabric, not from the
-        // platform's sum-capacity relaxation. On one fabric, fabric 0 is
-        // the device itself.
-        let mut virtual_inst = inst.clone();
-        virtual_inst.architecture.device = inst.architecture.fabric(0).clone();
+        // reconfiguration times come from that fabric of the shrinking
+        // target, not from the platform's sum-capacity relaxation. On one
+        // fabric, fabric 0 is the device itself.
+        let max_attempts = self.config.max_attempts.max(1);
+        let mut target = VirtualTarget::new(&inst.architecture, max_attempts);
 
-        for attempt in 1..=self.config.max_attempts.max(1) {
+        for attempt in 1..=max_attempts {
             if cancel.is_cancelled() {
                 return Err(SchedError::DeadlineExceeded);
             }
-            let (schedule, nodes) = self.run_windows(&virtual_inst, &order, cancel)?;
+            let (schedule, nodes) = self.run_windows(inst, &target, &order, cancel)?;
             nodes_total += nodes;
             let outcome = planner.check(&inst.architecture, &schedule.regions, cancel);
             if let FloorplanOutcome::Feasible(_) = outcome {
@@ -144,35 +144,33 @@ impl IsKScheduler {
             if cancel.is_cancelled() {
                 return Err(SchedError::DeadlineExceeded);
             }
-            let (num, den) = self.config.shrink_factor;
-            virtual_inst
-                .architecture
-                .device
-                .scale_capacity_in_place(num, den);
+            target.shrink(self.config.shrink_factor);
         }
 
         // All-software fallback.
-        virtual_inst.architecture.device.max_res = prfpga_model::ResourceVec::ZERO;
-        let (schedule, nodes) = self.run_windows(&virtual_inst, &order, cancel)?;
+        target.zero();
+        let (schedule, nodes) = self.run_windows(inst, &target, &order, cancel)?;
         nodes_total += nodes;
         Ok(IsKResult {
             schedule,
             nodes_explored: nodes_total,
             elapsed: t0.elapsed(),
-            attempts: self.config.max_attempts.max(1) + 1,
+            attempts: max_attempts + 1,
         })
     }
 
-    /// Runs the iterative window loop against (a possibly capacity-shrunk
-    /// copy of) the instance. `Err(DeadlineExceeded)` when `cancel` fires
-    /// mid-window; the in-progress window is rolled back before returning.
+    /// Runs the iterative window loop against fabric 0 of the (possibly
+    /// capacity-shrunk) `target`. `Err(DeadlineExceeded)` when `cancel`
+    /// fires mid-window; the in-progress window is rolled back before
+    /// returning.
     fn run_windows(
         &self,
         inst: &ProblemInstance,
+        target: &VirtualTarget,
         order: &[TaskId],
         cancel: &CancelToken,
     ) -> Result<(Schedule, u64), SchedError> {
-        let mut ps = PartialSchedule::new(inst);
+        let mut ps = PartialSchedule::new(inst, &target.platform.fabrics[0]);
         let mut nodes = 0u64;
         for window in order.chunks(self.config.k.max(1)) {
             let mut search = WindowSearch {

@@ -17,8 +17,8 @@
 //! window — rewound and reusable.
 
 use prfpga_model::{
-    ImplId, Placement, ProblemInstance, Reconfiguration, Region, RegionId, ResourceVec, Schedule,
-    TaskAssignment, TaskId, Time, TimeWindow,
+    Device, ImplId, Placement, ProblemInstance, Reconfiguration, Region, RegionId, ResourceVec,
+    Schedule, TaskAssignment, TaskId, Time, TimeWindow,
 };
 use prfpga_timeline::{LaneId, LaneKind, Timeline, TimelineMark};
 
@@ -75,6 +75,9 @@ pub struct AppliedMove {
 #[derive(Debug, Clone)]
 pub struct PartialSchedule<'a> {
     inst: &'a ProblemInstance,
+    /// The fabric every region opens on (fabric 0): its capacity bounds
+    /// the regions and its throughput times their reconfigurations.
+    device: &'a Device,
     /// Per-task decision (`None` = not yet scheduled).
     pub decisions: Vec<Option<TaskAssignment>>,
     /// Regions opened so far.
@@ -90,10 +93,12 @@ pub struct PartialSchedule<'a> {
 }
 
 impl<'a> PartialSchedule<'a> {
-    /// Empty partial schedule.
-    pub fn new(inst: &'a ProblemInstance) -> Self {
+    /// Empty partial schedule whose regions open on `device`, fabric 0
+    /// of `inst`'s platform or a capacity-shrunk copy of it.
+    pub fn new(inst: &'a ProblemInstance, device: &'a Device) -> Self {
         PartialSchedule {
             inst,
+            device,
             decisions: vec![None; inst.graph.len()],
             regions: Vec::new(),
             reconfigurations: Vec::new(),
@@ -160,7 +165,7 @@ impl<'a> PartialSchedule<'a> {
     /// Enumerates every legal option for task `t` (capacity limited by the
     /// device's `max_res`), given its ready time.
     pub fn enumerate_options(&self, t: TaskId, module_reuse: bool) -> Vec<TaskOption> {
-        let device = &self.inst.architecture.device;
+        let device = self.device;
         let mut out = Vec::new();
 
         for &impl_id in &self.inst.graph.task(t).impls {
@@ -399,7 +404,7 @@ mod tests {
     #[test]
     fn enumerates_sw_hw_and_new_region_options() {
         let inst = instance();
-        let ps = PartialSchedule::new(&inst);
+        let ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         let opts = ps.enumerate_options(TaskId(0), true);
         // 1 SW option (cores symmetric at t=0) + 1 new-region option.
         assert_eq!(opts.len(), 2);
@@ -412,7 +417,7 @@ mod tests {
     #[test]
     fn region_reuse_with_and_without_module_reuse() {
         let inst = instance();
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         // Schedule task a in hardware (new region, 5 CLB).
         let opt = ps
             .enumerate_options(TaskId(0), true)
@@ -464,7 +469,7 @@ mod tests {
             pool,
         )
         .unwrap();
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         let opt = ps
             .enumerate_options(TaskId(0), true)
             .into_iter()
@@ -484,7 +489,7 @@ mod tests {
     #[test]
     fn icap_first_fit_respects_gaps() {
         let inst = instance();
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         let icap = LaneId::controller(0);
         ps.timeline.reserve(icap, TimeWindow::new(10, 20)).unwrap();
         ps.timeline.reserve(icap, TimeWindow::new(25, 30)).unwrap();
@@ -498,7 +503,7 @@ mod tests {
     #[test]
     fn second_controller_offers_earlier_slots() {
         let inst = instance();
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         ps.timeline.reset(0, 0, 2);
         ps.timeline
             .reserve(LaneId::controller(0), TimeWindow::new(0, 50))
@@ -518,7 +523,7 @@ mod tests {
     #[test]
     fn undo_reverts_apply_exactly() {
         let inst = instance();
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         let hw = ps
             .enumerate_options(TaskId(0), true)
             .into_iter()
@@ -574,10 +579,10 @@ mod tests {
             ps.clone().into_schedule()
         };
 
-        let mut fresh = PartialSchedule::new(&inst);
+        let mut fresh = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         let expected = greedy(&mut fresh);
 
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         let mut stack = Vec::new();
         for t in inst.graph.task_ids() {
             let opt = ps
@@ -602,7 +607,7 @@ mod tests {
     #[test]
     fn into_schedule_roundtrip() {
         let inst = instance();
-        let mut ps = PartialSchedule::new(&inst);
+        let mut ps = PartialSchedule::new(&inst, inst.architecture.fabric(0));
         for t in inst.graph.task_ids() {
             let opts = ps.enumerate_options(t, true);
             let best = opts.iter().min_by_key(|o| o.end).copied().unwrap();

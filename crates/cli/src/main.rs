@@ -22,12 +22,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use prfpga_baseline::{HeftScheduler, IsKConfig, IsKScheduler};
 use prfpga_gen::{EventConfig, EventTraceGenerator, GraphConfig, TaskGraphGenerator, Topology};
 use prfpga_model::{
     Architecture, Device, EventTrace, Platform, ProblemInstance, Schedule, ScheduleEvent,
 };
-use prfpga_portfolio::{Portfolio, PortfolioConfig};
+use prfpga_portfolio::{Member, Portfolio, PortfolioConfig};
 use prfpga_sched::{
     CancelToken, PaRScheduler, PaScheduler, RepairConfig, RepairEngine, SchedWorkspace,
     SchedulerConfig,
@@ -252,54 +251,24 @@ fn schedule(args: &[String]) -> Result<(), String> {
         None => CancelToken::never(),
     };
 
+    let cfg = SchedulerConfig {
+        time_budget: Duration::from_millis(budget_ms),
+        ..Default::default()
+    };
     let t0 = std::time::Instant::now();
     let mut phase_table: Option<String> = None;
-    let mut degraded = false;
-    let sched: Schedule = match algo.as_str() {
-        "pa" => {
-            let r = PaScheduler::new(SchedulerConfig::default())
-                .schedule_with_cancel_in(&inst, &cancel, &mut SchedWorkspace::new())
-                .map_err(|e| e.to_string())?;
-            if trace {
-                phase_table = Some(r.trace.render_table());
-            }
-            degraded = r.degraded;
-            r.schedule
-        }
+    let (sched, degraded): (Schedule, bool) = match algo.as_str() {
         "par" => {
-            let par = PaRScheduler::new(SchedulerConfig {
-                time_budget: Duration::from_millis(budget_ms),
-                ..Default::default()
-            });
-            let r = par
-                .schedule_parallel(&inst, threads, &cancel)
+            let r = PaRScheduler::new(cfg)
+                .schedule_with_cancel_in(&inst, threads, &cancel, &mut SchedWorkspace::new())
                 .map_err(|e| e.to_string())?;
-            degraded = r.degraded;
-            r.schedule
+            (r.schedule, r.degraded)
         }
-        "is1" => {
-            IsKScheduler::new(IsKConfig::is1())
-                .schedule_with_cancel(&inst, &cancel)
-                .map_err(|e| e.to_string())?
-                .schedule
-        }
-        "is5" => {
-            IsKScheduler::new(IsKConfig::is5())
-                .schedule_with_cancel(&inst, &cancel)
-                .map_err(|e| e.to_string())?
-                .schedule
-        }
-        "heft" => HeftScheduler::new()
-            .schedule(&inst)
-            .map_err(|e| e.to_string())?,
         "portfolio" => {
             let r = Portfolio::new(PortfolioConfig {
                 deadline,
                 first_feasible_wins: has(args, "--first-feasible"),
-                sched: SchedulerConfig {
-                    time_budget: Duration::from_millis(budget_ms),
-                    ..Default::default()
-                },
+                sched: cfg,
                 ..Default::default()
             })
             .run(&inst)
@@ -316,10 +285,24 @@ fn schedule(args: &[String]) -> Result<(), String> {
                     ""
                 }
             );
-            degraded = r.degraded;
-            r.schedule
+            (r.schedule, r.degraded)
         }
-        other => return Err(format!("unknown algorithm `{other}`")),
+        other => {
+            let member = match other {
+                "pa" => Member::Pa,
+                "is1" => Member::IsK(1),
+                "is5" => Member::IsK(5),
+                "heft" => Member::Heft,
+                _ => return Err(format!("unknown algorithm `{other}`")),
+            };
+            let r = member
+                .run(&inst, &cfg, &cancel, &mut SchedWorkspace::new())
+                .map_err(|e| e.to_string())?;
+            if trace {
+                phase_table = Some(r.trace.render_table());
+            }
+            (r.schedule, r.degraded)
+        }
     };
     let elapsed = t0.elapsed();
     if degraded {

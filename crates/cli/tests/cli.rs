@@ -83,7 +83,7 @@ fn every_algorithm_runs() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    for algo in ["pa", "is1", "heft", "par"] {
+    for algo in ["pa", "is1", "is5", "heft", "par", "portfolio"] {
         let out = bin()
             .args(["schedule", "--algo", algo, "--budget-ms", "50", "--input"])
             .arg(&inst)
@@ -94,6 +94,8 @@ fn every_algorithm_runs() {
             "{algo}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("{algo}: makespan")), "{stdout}");
     }
     let _ = std::fs::remove_file(&inst);
 }

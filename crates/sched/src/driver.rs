@@ -37,13 +37,13 @@ pub(crate) struct ImplSelectMemo {
     choice: Vec<ImplId>,
 }
 
-/// The virtual capacity ratchet shared by PA and PA-R (§V-H): the target
-/// the pipeline schedules against, shrunk after floorplan-infeasible
+/// The virtual capacity ratchet shared by PA, PA-R and IS-k (§V-H): the
+/// target a scheduler plans against, shrunk after floorplan-infeasible
 /// candidates. The relaxation device (phase A's capacity) and the platform
-/// (the per-fabric capacity checks) shrink in lockstep; bit costs,
-/// throughput and geometry never change, so timing and floorplanning still
-/// see the real fabrics. Each loop owns one target and clones no device
-/// per attempt.
+/// (the per-fabric capacity checks; IS-k reads fabric 0 only) shrink in
+/// lockstep; bit costs, throughput and geometry never change, so timing
+/// and floorplanning still see the real fabrics. Each loop owns one target
+/// and clones no device per attempt.
 #[derive(Debug, Clone)]
 pub struct VirtualTarget {
     /// The architecture's relaxation device at the current capacity.
@@ -65,7 +65,7 @@ impl VirtualTarget {
     }
 
     /// Scales every capacity by `num/den` while shrinks remain.
-    pub(crate) fn shrink(&mut self, (num, den): (u64, u64)) {
+    pub fn shrink(&mut self, (num, den): (u64, u64)) {
         if self.shrinks_left > 0 {
             self.device.scale_capacity_in_place(num, den);
             self.platform.scale_capacity_in_place(num, den);
@@ -74,7 +74,7 @@ impl VirtualTarget {
     }
 
     /// Zeroes every capacity: the all-software fallback.
-    fn zero(&mut self) {
+    pub fn zero(&mut self) {
         self.device.max_res = ResourceVec::ZERO;
         self.platform.zero_capacity_in_place();
     }

@@ -100,7 +100,7 @@ fn par_survives_cancellation_at_every_poll() {
 
     let never = CancelToken::never();
     let baseline = sched
-        .schedule_with_cancel_in(&inst, &never, &mut ws)
+        .schedule_with_cancel_in(&inst, 1, &never, &mut ws)
         .expect("baseline run is feasible");
     let total = never.polls();
     assert_eq!(total, 48, "PA-R's checkpoint count moved");
@@ -109,7 +109,7 @@ fn par_survives_cancellation_at_every_poll() {
     for n in 1..=total {
         let tok = CancelToken::fire_on_poll(n);
         let r = sched
-            .schedule_with_cancel_in(&inst, &tok, &mut ws)
+            .schedule_with_cancel_in(&inst, 1, &tok, &mut ws)
             .unwrap_or_else(|e| panic!("poll {n}/{total}: PA-R errored: {e}"));
         validate_schedule_sweep(&inst, &r.schedule)
             .unwrap_or_else(|e| panic!("poll {n}/{total}: invalid schedule: {e:?}"));
@@ -119,7 +119,7 @@ fn par_survives_cancellation_at_every_poll() {
         }
 
         let clean = sched
-            .schedule_with_cancel_in(&inst, &CancelToken::never(), &mut ws)
+            .schedule_with_cancel_in(&inst, 1, &CancelToken::never(), &mut ws)
             .expect("post-cancellation run is feasible");
         assert_eq!(
             clean.schedule, baseline.schedule,
@@ -129,7 +129,7 @@ fn par_survives_cancellation_at_every_poll() {
     }
 }
 
-/// Parallel PA-R runs the serial search's loop on every worker, so it
+/// Multi-threaded PA-R runs the serial search's loop on every worker, so it
 /// inherits its cancellation rules: a token fired at any of the first
 /// polls (counted across all workers) still yields a sweep-valid schedule.
 #[test]
@@ -143,12 +143,17 @@ fn parallel_par_survives_cancellation_at_early_polls() {
     for threads in [2, 4] {
         let never = CancelToken::never();
         sched
-            .schedule_parallel(&inst, threads, &never)
+            .schedule_with_cancel_in(&inst, threads, &never, &mut SchedWorkspace::new())
             .expect("baseline run is feasible");
         assert!(never.polls() > 0);
         for n in 1..=never.polls().min(40) {
             let r = sched
-                .schedule_parallel(&inst, threads, &CancelToken::fire_on_poll(n))
+                .schedule_with_cancel_in(
+                    &inst,
+                    threads,
+                    &CancelToken::fire_on_poll(n),
+                    &mut SchedWorkspace::new(),
+                )
                 .unwrap_or_else(|e| panic!("{threads} threads, poll {n}: errored: {e}"));
             validate_schedule_sweep(&inst, &r.schedule)
                 .unwrap_or_else(|e| panic!("{threads} threads, poll {n}: invalid schedule: {e:?}"));

@@ -130,20 +130,20 @@ fn par_interleaved_instances_match_dedicated_workspaces() {
     let sched = PaRScheduler::new(config);
 
     let base_a = sched
-        .schedule_with_cancel_in(&a, &CancelToken::never(), &mut SchedWorkspace::new())
+        .schedule_with_cancel_in(&a, 1, &CancelToken::never(), &mut SchedWorkspace::new())
         .expect("instance a schedules");
     let base_b = sched
-        .schedule_with_cancel_in(&b, &CancelToken::never(), &mut SchedWorkspace::new())
+        .schedule_with_cancel_in(&b, 1, &CancelToken::never(), &mut SchedWorkspace::new())
         .expect("instance b schedules");
 
     let mut ws = SchedWorkspace::new();
     for round in 0..2 {
         let ra = sched
-            .schedule_with_cancel_in(&a, &CancelToken::never(), &mut ws)
+            .schedule_with_cancel_in(&a, 1, &CancelToken::never(), &mut ws)
             .expect("interleaved a schedules");
         assert_eq!(ra.schedule, base_a.schedule, "round {round}, instance a");
         let rb = sched
-            .schedule_with_cancel_in(&b, &CancelToken::never(), &mut ws)
+            .schedule_with_cancel_in(&b, 1, &CancelToken::never(), &mut ws)
             .expect("interleaved b schedules");
         assert_eq!(rb.schedule, base_b.schedule, "round {round}, instance b");
     }

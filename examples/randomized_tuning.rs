@@ -78,7 +78,12 @@ fn main() {
         };
         let t0 = Instant::now();
         let r = PaRScheduler::new(cfg)
-            .schedule_parallel(&instance, threads, &CancelToken::never())
+            .schedule_with_cancel_in(
+                &instance,
+                threads,
+                &CancelToken::never(),
+                &mut SchedWorkspace::new(),
+            )
             .unwrap();
         validate_schedule(&instance, &r.schedule).expect("valid");
         println!(

@@ -39,18 +39,6 @@ fn pinned_config() -> SchedulerConfig {
     }
 }
 
-/// Mirrors how the portfolio derives its IS-k member configuration from
-/// the shared scheduler config.
-fn isk_config(k: usize, cfg: &SchedulerConfig) -> IsKConfig {
-    IsKConfig {
-        k,
-        floorplan: cfg.floorplan.clone(),
-        shrink_factor: cfg.shrink_factor,
-        max_attempts: cfg.max_attempts,
-        ..IsKConfig::is5()
-    }
-}
-
 #[test]
 fn infinite_deadline_winner_equals_best_standalone_member() {
     let cfg = pinned_config();
@@ -69,9 +57,15 @@ fn infinite_deadline_winner_equals_best_standalone_member() {
         let standalone = [
             PaScheduler::new(cfg.clone()).schedule(&inst).unwrap(),
             PaRScheduler::new(cfg.clone()).schedule(&inst).unwrap(),
-            IsKScheduler::new(isk_config(1, &cfg))
-                .schedule(&inst)
-                .unwrap(),
+            Member::IsK(1)
+                .run(
+                    &inst,
+                    &cfg,
+                    &CancelToken::never(),
+                    &mut SchedWorkspace::new(),
+                )
+                .unwrap()
+                .schedule,
         ];
         let best = standalone.iter().map(Schedule::makespan).min().unwrap();
         assert_eq!(
@@ -129,4 +123,40 @@ fn acceptance_120_tasks_under_50ms_deadline() {
     assert_eq!(r.reports.len(), 3, "one report per default member");
     // The report renders without panicking and names the winner.
     assert!(r.render_report().contains("winner"));
+}
+
+/// Under the default scheduler configuration, the IS-k and HEFT members
+/// reproduce their standalone presets exactly, so a caller that runs them
+/// through [`Member::run`] (the CLI's `is1`, `is5` and `heft`) gets the
+/// same schedules as the presets.
+#[test]
+fn default_config_members_match_standalone_presets() {
+    let cfg = SchedulerConfig::default();
+    let inst = instance(20, 8);
+    let run = |member: Member| {
+        member
+            .run(
+                &inst,
+                &cfg,
+                &CancelToken::never(),
+                &mut SchedWorkspace::new(),
+            )
+            .unwrap()
+    };
+    for (k, preset) in [(1, IsKConfig::is1()), (5, IsKConfig::is5())] {
+        let r = run(Member::IsK(k));
+        assert!(!r.degraded);
+        assert_eq!(
+            r.schedule,
+            IsKScheduler::new(preset).schedule(&inst).unwrap(),
+            "IS-{k}"
+        );
+    }
+    assert_eq!(
+        run(Member::Heft).schedule,
+        HeftScheduler::new().schedule(&inst).unwrap()
+    );
+    // PA's run carries its phase trace; the other members' traces are empty.
+    assert!(!run(Member::Pa).trace.rows().is_empty());
+    assert!(run(Member::IsK(1)).trace.rows().is_empty());
 }
