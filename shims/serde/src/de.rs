@@ -122,12 +122,11 @@ const fn broadcast(b: u8) -> u64 {
     u64::from_le_bytes([b; 8])
 }
 
-/// True for a byte that ends a plain string run: `"`, `\`, a control
-/// character (`char::is_control`: below 0x20 and 0x7F), or 0xC2, which
-/// starts the control characters U+0080–U+009F.
+/// True for a byte that ends a plain string run: `"`, `\`, or one of the
+/// control characters U+0000–U+001F, which JSON allows only escaped.
 #[inline]
 fn ends_run(b: u8) -> bool {
-    matches!(b, b'"' | b'\\' | 0x00..=0x1f | 0x7f | 0xc2)
+    matches!(b, b'"' | b'\\' | 0x00..=0x1f)
 }
 
 /// The bytes of `w` (little-endian) for which [`ends_run`] holds, as
@@ -138,11 +137,7 @@ fn run_ends(w: u64) -> u64 {
     const HIGH: u64 = broadcast(0x80);
     let zero_bytes = |v: u64| v.wrapping_sub(broadcast(0x01)) & !v & HIGH;
     let below_space = w.wrapping_sub(broadcast(0x20)) & !w & HIGH;
-    below_space
-        | zero_bytes(w ^ broadcast(b'"'))
-        | zero_bytes(w ^ broadcast(b'\\'))
-        | zero_bytes(w ^ broadcast(0x7f))
-        | zero_bytes(w ^ broadcast(0xc2))
+    below_space | zero_bytes(w ^ broadcast(b'"')) | zero_bytes(w ^ broadcast(b'\\'))
 }
 
 /// Reads one complete JSON document as a `T`.
@@ -277,7 +272,8 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Reads a number. Integers keep their exact value; a float literal
-    /// whose value overflows `f64` is an error.
+    /// whose value overflows `f64` is an error, and so is any form JSON
+    /// does not allow (`01`, `1.`, `-.5`, `1e`).
     #[inline]
     pub fn number(&mut self) -> Result<Number, Error> {
         self.skip_ws();
@@ -295,8 +291,13 @@ impl<'a> Deserializer<'a> {
             magnitude = magnitude.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(d)));
             self.pos += 1;
         }
+        // One or more integer digits, and no leading zero before another.
+        let int_digits = self.pos - digits;
+        if int_digits == 0 || (int_digits > 1 && self.bytes[digits] == b'0') {
+            return Err(self.err("invalid number"));
+        }
         if !matches!(self.peek_byte(), Some(b'.' | b'e' | b'E')) {
-            return match (negative, magnitude.filter(|_| self.pos > digits)) {
+            return match (negative, magnitude) {
                 (false, Some(n)) => Ok(Number::from_u64(n)),
                 (true, Some(n)) if n <= i64::MIN.unsigned_abs() => {
                     Ok(Number::from_i64(0i64.wrapping_sub_unsigned(n)))
@@ -304,15 +305,18 @@ impl<'a> Deserializer<'a> {
                 _ => Err(self.err("integer out of range")),
             };
         }
-        if self.eat(b'.') {
-            self.skip_digits();
+        // A fraction and an exponent each need at least one digit.
+        if self.eat(b'.') && !self.skip_digits() {
+            return Err(self.err("invalid number"));
         }
         if matches!(self.peek_byte(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek_byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            self.skip_digits();
+            if !self.skip_digits() {
+                return Err(self.err("invalid number"));
+            }
         }
         let f: f64 = self.src[start..self.pos]
             .parse()
@@ -324,11 +328,14 @@ impl<'a> Deserializer<'a> {
         }
     }
 
+    /// Skips a run of digits; false when there was none.
     #[inline]
-    fn skip_digits(&mut self) {
+    fn skip_digits(&mut self) -> bool {
+        let start = self.pos;
         while matches!(self.peek_byte(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos > start
     }
 
     /// Reads a string, borrowed from the input unless it has escapes.
@@ -363,35 +370,32 @@ impl<'a> Deserializer<'a> {
     }
 
     /// The end of the run of plain string bytes at the current position
-    /// (the next `"`, `\` or end of input). A control character anywhere
-    /// in the run (`char::is_control`: U+0000–U+001F and U+007F–U+009F)
-    /// is an error at the run's start.
+    /// (the next `"`, `\` or end of input). A control character in the
+    /// run (U+0000–U+001F; JSON allows every other character raw) is an
+    /// error at the run's start.
     #[inline]
     fn scan_run(&self) -> Result<usize, Error> {
         let bytes = self.bytes;
         let mut end = self.pos;
+        // Eight bytes at a time up to the first byte that ends the run;
+        // byte by byte in the last seven bytes of the input.
         loop {
-            // Eight bytes at a time up to the first byte that may end the
-            // run; byte by byte in the last seven bytes of the input.
-            loop {
-                let Some(chunk) = bytes[end..].first_chunk::<8>() else {
-                    while end < bytes.len() && !ends_run(bytes[end]) {
-                        end += 1;
-                    }
-                    break;
-                };
-                let ends = run_ends(u64::from_le_bytes(*chunk));
-                if ends != 0 {
-                    end += ends.trailing_zeros() as usize / 8;
-                    break;
+            let Some(chunk) = bytes[end..].first_chunk::<8>() else {
+                while end < bytes.len() && !ends_run(bytes[end]) {
+                    end += 1;
                 }
-                end += 8;
+                break;
+            };
+            let ends = run_ends(u64::from_le_bytes(*chunk));
+            if ends != 0 {
+                end += ends.trailing_zeros() as usize / 8;
+                break;
             }
-            match bytes.get(end) {
-                Some(b'"' | b'\\') | None => return Ok(end),
-                Some(0xc2) if !matches!(bytes.get(end + 1), Some(0x80..=0x9f)) => end += 1,
-                Some(_) => return Err(self.err("control character in string")),
-            }
+            end += 8;
+        }
+        match bytes.get(end) {
+            Some(b'"' | b'\\') | None => Ok(end),
+            Some(_) => Err(self.err("control character in string")),
         }
     }
 
@@ -751,7 +755,7 @@ mod tests {
 
     #[test]
     fn control_characters_in_strings_are_errors_at_the_run_start() {
-        for bad in ["\t", "\n", "\r", "\u{1}", "\u{7f}", "\u{85}", "\u{9f}"] {
+        for bad in ["\t", "\n", "\r", "\u{1}", "\u{1f}"] {
             let e = from_str::<String>(&format!("\"ab\\\"c{bad}d\"")).unwrap_err();
             assert_eq!(
                 e.to_string(),
@@ -759,9 +763,41 @@ mod tests {
                 "{bad:?}"
             );
         }
-        for fine in [" ", "\u{a0}", "\u{c2}", "é", "😀"] {
+        // JSON forbids only U+0000–U+001F raw: DEL and the C1 controls
+        // U+0080–U+009F read back as written.
+        for fine in [
+            " ", "\u{7f}", "\u{80}", "\u{85}", "\u{9f}", "\u{a0}", "\u{c2}", "é", "😀",
+        ] {
             let text = format!("\"a{fine}b\"");
             assert_eq!(from_str::<String>(&text).unwrap(), format!("a{fine}b"));
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "01", "-01", "00", "1.", "-.5", "1.e5", "1e", "1e+", "-", "-x",
+        ] {
+            let e = from_str::<Value>(&format!("[{bad}]")).unwrap_err();
+            assert!(
+                e.to_string().starts_with("invalid number at line 1"),
+                "{bad}: {e}"
+            );
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5", -0.5),
+        ]
+        .into_iter()
+        .chain([("1e3", 1e3), ("1E+3", 1e3), ("2.5e-1", 0.25), ("-0e0", 0.0)])
+        {
+            let n = Deserializer::new(good)
+                .number()
+                .unwrap_or_else(|e| panic!("{good}: {e}"));
+            assert_eq!(n.as_f64(), Some(value), "{good}");
         }
     }
 

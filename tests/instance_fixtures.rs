@@ -114,6 +114,32 @@ fn malformed_fixture_bytes_yield_typed_errors() {
         parsed > 0 && rejected > parsed,
         "{parsed} parsed, {rejected} rejected"
     );
+
+    // Number forms JSON does not allow, in place of the processor count.
+    let field = "\"num_processors\": 2";
+    assert!(text.contains(field));
+    for bad in ["01", "-01", "1.", "-.5"] {
+        let mutated = text.replacen(field, &format!("\"num_processors\": {bad}"), 1);
+        match parse_without_panic(&mutated, bad) {
+            Err(ModelError::Parse(msg)) => {
+                assert!(msg.starts_with("invalid number at line"), "{bad}: {msg}")
+            }
+            other => panic!("{bad}: expected a parse error, got {other:?}"),
+        }
+    }
+}
+
+/// Names may hold any character JSON allows raw, DEL and the C1 controls
+/// included: the encoder writes them unescaped and the parser reads them
+/// back.
+#[test]
+fn names_with_del_and_c1_controls_round_trip() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("instances/chain_10t_s3.json");
+    let mut inst = ProblemInstance::load(&path).unwrap();
+    inst.graph.tasks[0].name = "del\u{7f}nel\u{85}".to_string();
+    let json = inst.to_json();
+    assert!(json.contains("del\u{7f}nel\u{85}"), "written raw");
+    assert_eq!(ProblemInstance::from_json(&json).unwrap(), inst);
 }
 
 /// Nesting is capped, so a deep document is a parse error rather than a
