@@ -63,7 +63,7 @@ impl ProblemInstance {
         if arch.platform.fabrics.is_empty() {
             return Err(ModelError::NoFabrics);
         }
-        if arch.device != arch.platform.relaxation_device() {
+        if !arch.platform.is_relaxation_device(&arch.device) {
             return Err(ModelError::DeviceNotRelaxation);
         }
         self.graph.validate_structure()?;

@@ -120,6 +120,22 @@ impl Platform {
         }
     }
 
+    /// True when `device` equals [`Platform::relaxation_device`], decided
+    /// without building that device.
+    pub fn is_relaxation_device(&self, device: &Device) -> bool {
+        let [first, rest @ ..] = self.fabrics.as_slice() else {
+            return false;
+        };
+        if rest.is_empty() {
+            return device == first;
+        }
+        device.name.strip_suffix("-relaxed") == Some(self.name.as_str())
+            && device.max_res == self.total_resources()
+            && device.bits_per_unit == first.bits_per_unit
+            && device.rec_freq == first.rec_freq
+            && device.geometry.is_none()
+    }
+
     /// Scales every fabric's capacity by `num/den` in place (the restart
     /// ratchet of paper §V-H, applied fabric-wise in lockstep with the
     /// relaxation device).
@@ -266,6 +282,38 @@ mod tests {
         assert_eq!(d.max_res, p.total_resources());
         assert_eq!(d.rec_freq, 400);
         assert!(d.geometry.is_none());
+    }
+
+    #[test]
+    fn relaxation_check_agrees_with_building_the_device() {
+        let platforms = [
+            Platform::alveo_u250(),
+            Platform::dual_zedboard(),
+            Platform::by_name("xc7z020").unwrap(),
+        ];
+        let edits: [fn(&mut Device); 6] = [
+            |_| {},
+            |d| d.name.push('x'),
+            |d| d.max_res = ResourceVec::ZERO,
+            |d| d.bits_per_unit[0] += 1,
+            |d| d.rec_freq += 1,
+            |d| d.geometry = Device::xc7z010().geometry,
+        ];
+        for p in &platforms {
+            for other in &platforms {
+                for edit in edits {
+                    let mut d = other.relaxation_device();
+                    edit(&mut d);
+                    assert_eq!(
+                        p.is_relaxation_device(&d),
+                        d == p.relaxation_device(),
+                        "{} against {}",
+                        p.name,
+                        d.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

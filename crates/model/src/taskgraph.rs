@@ -161,19 +161,32 @@ impl TaskGraph {
                 return Err(ModelError::NoImplementations { task: i as u32 });
             }
         }
-        // Kahn's algorithm: if not every task drains, the arcs carry a cycle.
-        let mut indeg = vec![0u32; n as usize];
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        // Kahn's algorithm over flat successor lists (task `v`'s are
+        // `targets[offsets[v]..offsets[v + 1]]`): if not every task
+        // drains, the arcs carry a cycle. Duplicate edges inflate
+        // in-degrees symmetrically, which is fine.
+        let n = n as usize;
+        let mut indeg = vec![0u32; n];
+        let mut offsets = vec![0u32; n + 1];
         for &(a, b) in &self.edges {
-            // Duplicates inflate in-degrees symmetrically, which is fine.
             indeg[b.index()] += 1;
-            succs[a.index()].push(b.0);
+            offsets[a.index() + 1] += 1;
         }
-        let mut ready: Vec<u32> = (0..n).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut drained = 0u32;
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets.clone();
+        let mut targets = vec![0u32; self.edges.len()];
+        for &(a, b) in &self.edges {
+            targets[fill[a.index()] as usize] = b.0;
+            fill[a.index()] += 1;
+        }
+        let mut ready: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        let mut drained = 0;
         while let Some(v) = ready.pop() {
             drained += 1;
-            for &s in &succs[v as usize] {
+            let v = v as usize;
+            for &s in &targets[offsets[v] as usize..offsets[v + 1] as usize] {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
                     ready.push(s);
