@@ -345,6 +345,43 @@ fn wire_format_matches_pinned_digests() {
     );
 }
 
+/// Census pin: one FNV-1a digest over PA's floorplan query census on every
+/// paper-suite instance — attempts, regions of the returned schedule, and
+/// the cache and verdict counters of its queries (hits, misses, feasible,
+/// infeasible, root-infeasible, timeouts, DFS nodes). Work that PA saves
+/// without changing what it asks the floorplanner, or what it is told,
+/// leaves this constant alone. Phase run counts and timeline counters are
+/// left out: they measure that work.
+#[test]
+fn pa_floorplan_census_is_pinned() {
+    let suite = SuiteConfig::default().generate(&Architecture::zedboard_pr());
+    let pa = PaScheduler::new(SchedulerConfig {
+        floorplan: generous_floorplan_limit(),
+        ..Default::default()
+    });
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for inst in suite.iter().flatten() {
+        let t = pa.schedule_detailed(inst).unwrap().trace;
+        for field in [
+            t.attempts as u64,
+            t.regions as u64,
+            t.fp_cache_hits,
+            t.fp_cache_misses,
+            t.fp_feasible,
+            t.fp_infeasible,
+            t.fp_root_infeasible,
+            t.fp_timeouts,
+            t.fp_nodes,
+        ] {
+            hash = fnv1a(hash, &field.to_le_bytes());
+        }
+    }
+    assert_eq!(
+        hash, 5_682_257_126_524_403_033,
+        "PA's floorplan query census changed"
+    );
+}
+
 /// Floorplanner limits under which the node budget alone stops a search:
 /// the wall-clock backstop is far beyond any search's length, even in a
 /// debug build.
