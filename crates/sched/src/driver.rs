@@ -131,11 +131,13 @@ impl PaScheduler {
 
     /// Schedules `inst` with full diagnostics.
     ///
-    /// Runs the eight-phase pipeline; if the floorplanner rejects the
-    /// resulting region set, the pipeline restarts with the virtual device
-    /// capacity shrunk by the configured factor (§V-H). After
-    /// `max_attempts` the all-software schedule (zero virtual capacity,
-    /// trivially floorplannable) is returned.
+    /// Runs the eight-phase pipeline, asking the floorplanner (phase H)
+    /// about the region set as soon as phase C has fixed it; phases D–G run
+    /// only for an accepted set. If the floorplanner rejects it, the
+    /// pipeline restarts with the virtual device capacity shrunk by the
+    /// configured factor (§V-H). After `max_attempts` the all-software
+    /// schedule (zero virtual capacity, trivially floorplannable) is
+    /// returned.
     pub fn schedule_detailed(&self, inst: &ProblemInstance) -> Result<PaResult, SchedError> {
         self.schedule_with_cancel_in(inst, &CancelToken::never(), &mut SchedWorkspace::new())
     }
@@ -144,9 +146,10 @@ impl PaScheduler {
     /// cooperative [`CancelToken`], against a caller-owned
     /// [`SchedWorkspace`].
     ///
-    /// The restart loop polls `cancel` before each pipeline run, between the
-    /// pipeline and the floorplanner, and after a non-feasible verdict; the
-    /// floorplanner's exact search additionally polls it once per node. When
+    /// The restart loop polls `cancel` before each pipeline run, between
+    /// phase C and the floorplanner, and after a non-feasible verdict; the
+    /// floorplanner additionally polls it before its greedy passes and
+    /// every few dozen search nodes. When
     /// the token fires, PA is *anytime*: it runs the (bounded, floorplan-
     /// free) all-software fallback pipeline once and returns that trivially
     /// feasible schedule flagged [`PaResult::degraded`] instead of erroring.
@@ -179,19 +182,6 @@ impl PaScheduler {
         let hits0 = cancel.deadline_hits();
         let cache = FeasibilityCache::new(self.planner.clone(), DEFAULT_CACHE_CAPACITY);
 
-        // No phase-A memo here: the restart loop shrinks the capacity on
-        // every retry, so no two attempts share a phase-A input.
-        let run_pipeline = |ws: &mut SchedWorkspace, target: &VirtualTarget| {
-            do_schedule_in(
-                ws,
-                inst,
-                target,
-                &self.config,
-                self.config.ordering,
-                &observer,
-                None,
-            )
-        };
         let report_stats = |ws: &SchedWorkspace| {
             observer.workspace_stats(ws.reuses(), cache.stats());
             observer.cancel_stats(cancel.polls() - polls0, cancel.deadline_hits() - hits0);
@@ -209,14 +199,30 @@ impl PaScheduler {
                 }
                 observer.pipeline_started(attempt);
                 runs = attempt;
+                // Phases A–C fix every region's resources and fabric; D–F
+                // only add tasks to regions and G only times them. So the
+                // floorplan question is asked here, and a rejected attempt
+                // pays for nothing after C. No phase-A memo: the loop
+                // shrinks the capacity on every retry, so no two attempts
+                // share a phase-A input.
                 let t0 = Instant::now();
-                let schedule = run_pipeline(ws, &target);
+                let mut state = solve_regions_in(
+                    ws,
+                    inst,
+                    &target,
+                    &self.config,
+                    self.config.ordering,
+                    &observer,
+                    None,
+                );
+                let regions = state.region_set();
                 scheduling_time += t0.elapsed();
 
                 // Poll before paying for the floorplanner: a deadline that
                 // fired during the pipeline must not charge a (possibly
                 // long) exact placement search to an expired budget.
                 if cancel.is_cancelled() {
+                    state.recycle(ws);
                     degraded = true;
                     break 'search;
                 }
@@ -226,12 +232,16 @@ impl PaScheduler {
                 // loop), so any Feasible witness returned below comes from a
                 // cold solve. Each fabric's regions place against that
                 // fabric's own device.
-                let outcome = cache.check(&inst.architecture, &schedule.regions, cancel);
+                let outcome = cache.check(&inst.architecture, &regions, cancel);
                 let fp_elapsed = t1.elapsed();
                 floorplanning_time += fp_elapsed;
                 observer.phase_finished(Phase::Floorplan, fp_elapsed);
 
                 if let FloorplanOutcome::Feasible(rects) = outcome {
+                    let t0 = Instant::now();
+                    solve_software(&mut state, &self.config);
+                    let schedule = commit_in(state, ws, &self.config);
+                    scheduling_time += t0.elapsed();
                     report_stats(ws);
                     return Ok(PaResult {
                         schedule,
@@ -243,6 +253,7 @@ impl PaScheduler {
                         degraded: false,
                     });
                 }
+                state.recycle(ws);
                 // A Timeout induced by the token firing mid-solve is a
                 // statement about the clock, not the capacity: checking here
                 // keeps it from consuming a ratchet shrink.
@@ -262,7 +273,15 @@ impl PaScheduler {
         observer.pipeline_started(attempts);
         let t0 = Instant::now();
         target.zero();
-        let schedule = run_pipeline(ws, &target);
+        let schedule = do_schedule_in(
+            ws,
+            inst,
+            &target,
+            &self.config,
+            self.config.ordering,
+            &observer,
+            None,
+        );
         scheduling_time += t0.elapsed();
         debug_assert!(schedule.regions.is_empty());
         report_stats(ws);
@@ -279,15 +298,17 @@ impl PaScheduler {
 }
 
 /// One run of the scheduling pipeline (phases A–G) against a virtual
-/// target; shared by PA and PA-R (`doSchedule` in Algorithm 1).
-/// `ws` supplies every heap structure of the run and receives them back
-/// afterwards, so a loop threading one workspace through repeated calls is
-/// allocation-free in the steady state.
+/// target: PA-R's candidate (`doSchedule` in Algorithm 1) and PA's
+/// all-software fallback. `ws` supplies every heap structure of the run
+/// and receives them back afterwards, so a loop threading one workspace
+/// through repeated calls is allocation-free in the steady state.
 ///
-/// Structured as solve-then-commit: [`solve_in`] runs the pure decision
-/// core (phases A–F, no timeline reservations), then phase G's timing
-/// realization is applied as one journaled batch commit — the seam the
-/// online repair engine builds on.
+/// Structured as solve-then-commit: [`solve_regions_in`] (phases A–C) and
+/// [`solve_software`] (D–F) are the pure decision core, with no timeline
+/// reservations; [`commit_in`] then applies phase G's timing realization
+/// as one journaled batch commit — the seam the online repair engine
+/// builds on. PA runs the same three steps with its floorplan query
+/// between the first two.
 pub(crate) fn do_schedule_in(
     ws: &mut SchedWorkspace,
     inst: &ProblemInstance,
@@ -297,20 +318,25 @@ pub(crate) fn do_schedule_in(
     observer: &ObserverHandle,
     memo: Option<&mut ImplSelectMemo>,
 ) -> Schedule {
-    let state = solve_in(ws, inst, target, config, ordering, observer, memo);
+    let mut state = solve_regions_in(ws, inst, target, config, ordering, observer, memo);
+    solve_software(&mut state, config);
+    commit_in(state, ws, config)
+}
 
-    // Phase G — reconfiguration scheduling / timing realization: the only
-    // point where decisions become timeline reservations (the commit).
+/// Phase G — reconfiguration scheduling / timing realization: the only
+/// point where decisions become timeline reservations (the commit). Hands
+/// `state`'s buffers back to `ws`.
+fn commit_in(state: SchedState<'_>, ws: &mut SchedWorkspace, config: &SchedulerConfig) -> Schedule {
     let schedule = commit::commit_batch(&state, config.module_reuse, &mut ws.reconf_timeline);
     state.recycle(ws);
     schedule
 }
 
-/// The pure decision core: phases A–F against `ws`'s buffers. Mutates only
-/// the [`SchedState`] it returns — implementation choices, regions,
-/// sequencing arcs, core mappings — and reserves nothing on the controller
-/// timeline; the caller owns the commit (phase G).
-pub(crate) fn solve_in<'a>(
+/// The first half of the decision core: phases A–C against `ws`'s
+/// buffers. The returned [`SchedState`] holds the implementation choices
+/// and the regions, whose resources and fabrics no later phase changes;
+/// nothing is reserved on the controller timeline.
+pub(crate) fn solve_regions_in<'a>(
     ws: &mut SchedWorkspace,
     inst: &'a ProblemInstance,
     target: &'a VirtualTarget,
@@ -368,19 +394,24 @@ pub(crate) fn solve_in<'a>(
 
     // Phase C — regions definition.
     regions::define_regions(&mut state, ordering);
+    state
+}
 
+/// The second half of the decision core: phases D–F on a state after
+/// [`solve_regions_in`]. Adds tasks to existing regions, sequences and maps
+/// the software tasks; opens no region and reserves nothing on the
+/// controller timeline.
+pub(crate) fn solve_software(state: &mut SchedState<'_>, config: &SchedulerConfig) {
     // Phase D — software task balancing.
     if config.sw_balancing {
-        sw_balance::balance_software_tasks(&mut state);
+        sw_balance::balance_software_tasks(state);
     }
 
     // Phase E — start/end anchoring is implicit: every consumer below works
     // from the current CPM windows (`T_START = T_MIN`).
 
     // Phase F — software task mapping.
-    sw_map::map_software_tasks(&mut state);
-
-    state
+    sw_map::map_software_tasks(state);
 }
 
 #[cfg(test)]
@@ -595,11 +626,37 @@ mod tests {
             r.schedule.hardware_task_count(),
             t.hw_tasks + t.balance_moves
         );
-        // Every scheduling phase ran once per attempt; floorplanning runs
-        // once per non-fallback attempt.
+        // Phases A–C ran once per attempt and floorplanning once per
+        // non-fallback attempt; D–G ran only for the returned schedule.
         use crate::trace::Phase;
         assert_eq!(t.phase_runs[Phase::Regions.index()] as usize, r.attempts);
+        assert_eq!(t.phase_runs[Phase::Reconf.index()], 1);
         assert_eq!(t.time(Phase::Floorplan), r.floorplanning_time);
+    }
+
+    #[test]
+    fn rejected_attempts_stop_after_regions_definition() {
+        // The floorplanner rejects the first two region sets of this
+        // instance and accepts the third.
+        let inst = TaskGraphGenerator::new(4).generate(
+            "p",
+            &GraphConfig::standard(20),
+            Architecture::zedboard_pr(),
+        );
+        let pa = PaScheduler::new(SchedulerConfig::default());
+        let r = pa.schedule_detailed(&inst).unwrap();
+        validate_schedule(&inst, &r.schedule).expect("valid");
+        assert_eq!(r.attempts, 3);
+        assert!(!r.schedule.regions.is_empty(), "the third set is placed");
+        assert_eq!(r.floorplan.len(), r.schedule.regions.len());
+        use crate::trace::Phase;
+        let runs = |p: Phase| r.trace.phase_runs[p.index()] as usize;
+        assert_eq!(runs(Phase::Regions), r.attempts);
+        assert_eq!(runs(Phase::Floorplan), r.attempts);
+        for phase in [Phase::SwBalance, Phase::SwMap, Phase::Reconf] {
+            assert_eq!(runs(phase), 1, "{}", phase.name());
+        }
+        assert_eq!(r.trace.commits, 1);
     }
 }
 

@@ -22,8 +22,7 @@ use std::time::Instant;
 
 use prfpga_dag::CpmAnalysis;
 use prfpga_model::{
-    Placement, Reconfiguration, Region, RegionId, Schedule, TaskAssignment, TaskId, Time,
-    TimeWindow,
+    Placement, Reconfiguration, RegionId, Schedule, TaskAssignment, TaskId, Time, TimeWindow,
 };
 use prfpga_timeline::{LaneId, Timeline};
 
@@ -212,14 +211,7 @@ pub(crate) fn realize_schedule_prepared(
     }
 
     // --- Assemble the schedule. ------------------------------------------
-    let regions: Vec<Region> = state
-        .regions
-        .iter()
-        .map(|r| Region {
-            res: r.res,
-            fabric: r.fabric,
-        })
-        .collect();
+    let regions = state.region_set();
     let assignments: Vec<TaskAssignment> = (0..n)
         .map(|i| {
             let placement = match state.region_of[i] {

@@ -8,7 +8,9 @@ use std::mem;
 use prfpga_dag::{
     reach, CpmAnalysis, CpmScratch, CsrView, CycleError, Dag, DagCheckpoint, NodeId, ReachIndex,
 };
-use prfpga_model::{Device, ImplId, ProblemInstance, ResourceVec, TaskId, Time, TimeWindow};
+use prfpga_model::{
+    Device, ImplId, ProblemInstance, Region, ResourceVec, TaskId, Time, TimeWindow,
+};
 use prfpga_timeline::Timeline;
 
 use crate::driver::VirtualTarget;
@@ -503,6 +505,18 @@ impl<'a> SchedState<'a> {
             .iter()
             .take_while(|&&o| self.cpm.windows[o.index()].min <= w_min)
             .count()
+    }
+
+    /// The regions as a schedule carries them: each one's resources and
+    /// fabric, in region order. Fixed once phase C has run.
+    pub fn region_set(&self) -> Vec<Region> {
+        self.regions
+            .iter()
+            .map(|r| Region {
+                res: r.res,
+                fabric: r.fabric,
+            })
+            .collect()
     }
 
     /// Fabric resources already committed to regions (all fabrics summed).

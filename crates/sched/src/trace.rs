@@ -47,7 +47,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in execution order.
+    /// Every phase, in the paper's order (PA asks H right after C).
     pub const ALL: [Phase; 8] = [
         Phase::ImplSelect,
         Phase::CriticalPath,
@@ -201,6 +201,8 @@ pub struct PhaseTrace {
     /// restarts.
     pub phase_time: [Duration; Phase::COUNT],
     /// Times each phase ran (phase D is skipped when balancing is off).
+    /// Under PA, phases A–C run once per attempt and D–G once per run: a
+    /// region set the floorplanner rejects ends its attempt after C.
     pub phase_runs: [u32; Phase::COUNT],
     /// Pipeline runs observed (1 = no feasibility restart).
     pub attempts: usize,
@@ -247,7 +249,8 @@ pub struct PhaseTrace {
     /// the run was cut short and returned a degraded result).
     pub deadline_hits: u64,
     /// Batch commits applied through the solve/commit seam, summed over
-    /// restarts (equals `attempts`).
+    /// restarts. PA commits once per run: only the accepted attempt, or
+    /// the all-software fallback, reaches phase G.
     pub commits: u64,
     /// Controller-timeline journal edits covered by those commits, summed.
     pub commit_edits: u64,
