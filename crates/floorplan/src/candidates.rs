@@ -12,14 +12,20 @@ use std::ops::Range;
 
 use prfpga_model::{FabricGeometry, ResourceVec, NUM_RESOURCE_KINDS};
 
+use crate::occupancy::Columns;
 use crate::rect::Rect;
 
 /// Enumerates the minimal feasible rectangles for `demand` on `geometry`,
 /// sorted by ascending area then position (deterministic).
+///
+/// # Panics
+///
+/// On a fabric of more than [`FabricGeometry::MAX_DIM`] columns or rows,
+/// which `ProblemInstance::validate` rejects.
 pub fn minimal_rects(geometry: &FabricGeometry, demand: &ResourceVec) -> Vec<Rect> {
     let mut out = Vec::new();
     for_each_minimal_run(
-        geometry,
+        &Columns::new(geometry),
         demand,
         |col_start, col_end, height, row_starts| {
             out.extend(row_starts.map(|row| Rect::new(col_start, col_end, row, row + height)));
@@ -38,14 +44,13 @@ pub fn minimal_rects(geometry: &FabricGeometry, demand: &ResourceVec) -> Vec<Rec
 /// column depends only on the height. At height `h` a run must hold
 /// `⌈demand / (units per row · h)⌉` columns of each kind, so it ends one
 /// past the furthest of the kinds' last needed columns: an O(1) lookup in
-/// per-kind column position lists for each start column.
+/// the per-kind column positions of `columns` for each start column.
 pub(crate) fn for_each_minimal_run(
-    geometry: &FabricGeometry,
+    columns: &Columns,
     demand: &ResourceVec,
     mut emit: impl FnMut(u32, u32, u32, Range<u32>),
 ) {
-    let cols = geometry.columns.len() as u32;
-    let rows = geometry.rows;
+    let (cols, rows) = (columns.len(), columns.rows);
     if cols == 0 || rows == 0 {
         return;
     }
@@ -55,37 +60,31 @@ pub(crate) fn for_each_minimal_run(
         return;
     }
 
-    // Positions of each kind's columns, and a kind's units per row.
-    let mut at: [Vec<u32>; NUM_RESOURCE_KINDS] = Default::default();
-    let mut units = [0u64; NUM_RESOURCE_KINDS];
-    for (c, col) in geometry.columns.iter().enumerate() {
-        at[col.kind().index()].push(c as u32);
-        units[col.kind().index()] = col.units_per_row();
-    }
-
     for height in 1..=rows {
         // Columns of each kind a run needs; a kind the fabric lacks can
         // never be met.
-        let need: [usize; NUM_RESOURCE_KINDS] = std::array::from_fn(|k| match demand.0[k] {
-            0 => 0,
-            _ if units[k] == 0 => 1,
-            d => usize::try_from(d.div_ceil(units[k] * u64::from(height))).unwrap_or(usize::MAX),
+        let need: [usize; NUM_RESOURCE_KINDS] = std::array::from_fn(|k| {
+            let units = columns.units[k];
+            match demand.0[k] {
+                0 => 0,
+                _ if units == 0 => 1,
+                d => usize::try_from(d.div_ceil(units * u64::from(height))).unwrap_or(usize::MAX),
+            }
         });
-        // `seen[k]`: columns of kind `k` left of the start column.
-        let mut seen = [0usize; NUM_RESOURCE_KINDS];
-        'start: for (a, col) in geometry.columns.iter().enumerate() {
+        'start: for a in 0..cols {
+            // Columns of each kind left of the start column.
+            let seen = columns.before(a);
             let mut b = 0;
             for k in 0..NUM_RESOURCE_KINDS {
                 if need[k] > 0 {
-                    match at[k].get(seen[k].saturating_add(need[k] - 1)) {
+                    match columns.at[k].get((seen[k] as usize).saturating_add(need[k] - 1)) {
                         Some(&c) => b = b.max(c + 1),
                         // No later start column can succeed at this height.
                         None => break 'start,
                     }
                 }
             }
-            emit(a as u32, b, height, 0..rows - height + 1);
-            seen[col.kind().index()] += 1;
+            emit(a, b, height, 0..rows - height + 1);
         }
     }
 }
