@@ -14,22 +14,24 @@
 //!    region's CLB/BRAM/DSP demand and is minimal in width for its column
 //!    origin and row span (the "feasible placements detection" idea of
 //!    ref. \[3\]);
-//! 2. [`solver`] counts, per region, the fewest column segments of each
-//!    kind any of its candidates covers. Disjoint rectangles cover
-//!    disjoint segments, so when these minima sum past the fabric's
-//!    segments of some kind the answer is `Infeasible` at once, with no
-//!    search and no clock check;
-//! 3. otherwise it sorts each region's candidates by one packed key, runs
-//!    greedy pre-passes over a bitset occupancy grid (`rows × ⌈cols/64⌉`
-//!    words), then a most-constrained-first backtracking search for a
-//!    pairwise-disjoint selection, bounded by [`NODE_BUDGET`] nodes, where
-//!    a node is one placement attempt. Every attempt re-checks the segment
-//!    bound against the segments it would leave free, then narrows each
-//!    unplaced region's domain of free candidates, and is undone without
-//!    descending when some domain comes out empty (forward checking). A
-//!    domain is a bitset over the region's sorted candidates, narrowed by
-//!    a few word-wide ANDs against per-list overlap masks that are built
-//!    only when every greedy pass has failed.
+//! 2. [`solver`] counts, per region, its minimal rectangles and the fewest
+//!    column segments of each kind any of them covers, reading only the
+//!    minimal column runs. Disjoint rectangles cover disjoint segments, so
+//!    when these minima sum past the fabric's segments of some kind the
+//!    answer is `Infeasible` at once, with no candidate keyed, no search
+//!    and no clock check;
+//! 3. otherwise it packs each region's candidates into one order key each,
+//!    sorted only as far as the greedy pre-passes over a bitset occupancy
+//!    grid (`rows × ⌈cols/64⌉` words) read them. Only when every greedy
+//!    pass fails are the lists sorted in full for a most-constrained-first
+//!    backtracking search for a pairwise-disjoint selection, bounded by
+//!    [`NODE_BUDGET`] nodes, where a node is one placement attempt. Every
+//!    attempt re-checks the segment bound against the segments it would
+//!    leave free, then narrows each unplaced region's domain of free
+//!    candidates, and is undone without descending when some domain comes
+//!    out empty (forward checking). A domain is a bitset over the region's
+//!    sorted candidates, narrowed by a few word-wide ANDs against per-list
+//!    overlap masks that are built only for the search.
 //!
 //! The search is exact: [`FloorplanOutcome::Infeasible`] is a proof, while
 //! [`FloorplanOutcome::Timeout`] is returned when the node budget runs out
