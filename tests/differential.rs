@@ -382,6 +382,62 @@ fn pa_floorplan_census_is_pinned() {
     );
 }
 
+/// Trace pin: one FNV-1a digest over every counter of PA's `PhaseTrace`
+/// (phase run counts included, wall-clock left out) on every paper-suite
+/// instance and on the 60-task Alveo U250 instance, where the fabric
+/// partition runs. The rendered `--trace` table with its times zeroed is
+/// folded in too, so a change to how the trace is recorded or printed,
+/// rather than to what PA does, fails here.
+#[test]
+fn pa_phase_trace_is_pinned() {
+    use prfpga::gen::GraphConfig;
+
+    let mut instances = SuiteConfig::default().generate(&Architecture::zedboard_pr());
+    instances.push(vec![TaskGraphGenerator::new(11).generate(
+        "digest_alveo_u250",
+        &GraphConfig::standard(60),
+        Architecture::on_platform(2, Platform::alveo_u250()),
+    )]);
+    let pa = PaScheduler::new(SchedulerConfig {
+        floorplan: generous_floorplan_limit(),
+        ..Default::default()
+    });
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for inst in instances.iter().flatten() {
+        let mut t = pa.schedule_detailed(inst).unwrap().trace;
+        for runs in t.phase_runs {
+            hash = fnv1a(hash, &runs.to_le_bytes());
+        }
+        for field in [
+            t.attempts as u64,
+            t.regions as u64,
+            t.hw_tasks as u64,
+            t.sw_tasks as u64,
+            t.balance_moves as u64,
+            t.reconfigurations as u64,
+            t.workspace_reuses,
+            t.fp_cache_hits,
+            t.fp_cache_misses,
+            t.fp_feasible,
+            t.fp_infeasible,
+            t.fp_root_infeasible,
+            t.fp_timeouts,
+            t.fp_nodes,
+            t.timeline_reservations,
+            t.timeline_gap_queries,
+            t.cancel_polls,
+            t.deadline_hits,
+            t.commits,
+            t.commit_edits,
+        ] {
+            hash = fnv1a(hash, &field.to_le_bytes());
+        }
+        t.phase_time = Default::default();
+        hash = fnv1a(hash, t.render_table().as_bytes());
+    }
+    assert_eq!(hash, 4_017_391_832_457_106_043, "PA's phase trace changed");
+}
+
 /// Floorplanner limits under which the node budget alone stops a search:
 /// the wall-clock backstop is far beyond any search's length, even in a
 /// debug build.
