@@ -27,21 +27,20 @@ pub const BATCH_CHECKPOINT: &str = "batch";
 
 /// Applies the decision core's output as one journaled commit: resets the
 /// controller lanes, opens the [`BATCH_CHECKPOINT`], runs phase G's timing
-/// realization, then commits — reporting the number of journal edits the
-/// commit covered to the state's observer.
+/// realization, then commits. Returns the schedule and the number of
+/// journal edits the commit covered.
 pub(crate) fn commit_batch(
     state: &SchedState<'_>,
     module_reuse: bool,
     icap: &mut Timeline,
-) -> Schedule {
+) -> (Schedule, u64) {
     icap.reset(0, 0, state.controller_lanes());
     icap.checkpoint(BATCH_CHECKPOINT);
     let schedule = reconf::realize_schedule_prepared(state, module_reuse, icap);
     let edits = icap
         .commit(BATCH_CHECKPOINT)
         .expect("the batch checkpoint was opened above");
-    state.observer.batch_committed(edits as u64);
-    schedule
+    (schedule, edits as u64)
 }
 
 #[cfg(test)]
@@ -49,7 +48,6 @@ mod tests {
     use super::*;
     use crate::metrics::MetricWeights;
     use crate::phases::impl_select::max_t;
-    use crate::trace::{ObserverHandle, TraceRecorder};
     use prfpga_model::{
         Architecture, Device, ImplPool, Implementation, ProblemInstance, ResourceVec, TaskGraph,
         TaskId,
@@ -90,16 +88,13 @@ mod tests {
         let (inst, choice) = chain_state();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
         let mut st = SchedState::new(&inst, w, choice.clone()).unwrap();
-        let recorder = std::sync::Arc::new(TraceRecorder::new());
-        st.observer = ObserverHandle::new(recorder.clone());
         st.open_region(TaskId(0), choice[0]);
         st.assign_to_region(TaskId(1), choice[1], 0);
 
         let mut icap = Timeline::new();
-        let committed = commit_batch(&st, false, &mut icap);
+        let (committed, edits) = commit_batch(&st, false, &mut icap);
         assert_eq!(committed.reconfigurations.len(), 1);
-        let trace = recorder.snapshot();
-        assert_eq!((trace.commits, trace.commit_edits), (1, 1));
+        assert_eq!(edits, 1);
         // The commit consumed the checkpoint: the journal survives (the
         // reservations are kept) but the name is gone.
         assert!(icap.edits_since(BATCH_CHECKPOINT).is_none());

@@ -59,4 +59,4 @@ pub use repair::{RepairConfig, RepairEngine, RepairError, RepairOutcome, RepairS
 pub use prfpga_model::{Budget, CancelToken, FakeClock};
 pub use randomized::{ConvergencePoint, PaRResult, PaRScheduler};
 pub use state::{SchedState, SchedWorkspace};
-pub use trace::{ObserverHandle, Phase, PhaseObserver, PhaseTrace, TraceRecorder};
+pub use trace::{Phase, PhaseTrace};

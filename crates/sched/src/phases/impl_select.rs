@@ -6,13 +6,10 @@
 //! the fastest software candidate `i_S`, then select whichever of the two
 //! executes faster.
 
-use std::time::Instant;
-
 use prfpga_model::{Device, ImplId, ProblemInstance, Time};
 
 use crate::config::CostPolicy;
 use crate::metrics::MetricWeights;
-use crate::trace::{ObserverHandle, Phase};
 
 /// Computes `maxT` (eq. 4): the sum over tasks of their fastest
 /// implementation time — the all-serial lower-bound horizon used to
@@ -33,32 +30,16 @@ pub fn max_t(inst: &ProblemInstance) -> Time {
 }
 
 /// Phase A as the driver runs it: derives the metric weights (eq. 4) for
-/// the (possibly shrunk) device capacity, selects implementations, and
-/// reports the phase wall-clock to `observer`.
-pub fn run_phase(
-    inst: &ProblemInstance,
-    device: &Device,
-    policy: CostPolicy,
-    observer: &ObserverHandle,
-) -> (MetricWeights, Vec<ImplId>) {
-    let mut choice = Vec::new();
-    let weights = run_phase_into(inst, device, policy, observer, &mut choice);
-    (weights, choice)
-}
-
-/// [`run_phase`] into a caller-owned choice buffer — the allocation-free
-/// variant the workspace-reusing scheduler loops call.
+/// the (possibly shrunk) device capacity and selects implementations into
+/// a caller-owned choice buffer.
 pub fn run_phase_into(
     inst: &ProblemInstance,
     device: &Device,
     policy: CostPolicy,
-    observer: &ObserverHandle,
     choice: &mut Vec<ImplId>,
 ) -> MetricWeights {
-    let t0 = Instant::now();
     let weights = MetricWeights::new(&device.max_res, max_t(inst));
     select_implementations_into(inst, &weights, policy, choice);
-    observer.phase_finished(Phase::ImplSelect, t0.elapsed());
     weights
 }
 

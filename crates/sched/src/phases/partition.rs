@@ -32,29 +32,22 @@
 //! on the realized schedule, so the partition's cut minimization is
 //! heuristic slack, not a hard constraint.
 
-use std::time::Instant;
-
 use prfpga_model::TaskId;
 
 use crate::state::SchedState;
-use crate::trace::Phase;
 
 /// Number of refinement passes; each is a full deterministic sweep.
 const REFINE_PASSES: usize = 3;
 
-/// Assigns every task a fabric in `state.fabric_of`. No-op (and untraced)
-/// on one fabric, where `fabric_of` stays all zeros.
+/// Assigns every task a fabric in `state.fabric_of`. No-op on one fabric,
+/// where `fabric_of` stays all zeros.
 pub fn partition_tasks(state: &mut SchedState<'_>) {
     let nf = state.num_fabrics();
     if nf == 1 {
         return;
     }
-    let t0 = Instant::now();
     seed_bands(state, nf);
     refine(state, nf);
-    state
-        .observer
-        .phase_finished(Phase::Partition, t0.elapsed());
 }
 
 /// Scalar load a task puts on its fabric: total units of its chosen

@@ -18,7 +18,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use prfpga_dag::CpmAnalysis;
 use prfpga_model::{
@@ -27,7 +26,6 @@ use prfpga_model::{
 use prfpga_timeline::{LaneId, Timeline};
 
 use crate::state::SchedState;
-use crate::trace::Phase;
 
 /// One planned reconfiguration before timing.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +46,7 @@ struct PlannedRec {
 /// consecutive tasks of a region that share an implementation need no
 /// reconfiguration between them.
 pub fn realize_schedule(state: &SchedState<'_>, module_reuse: bool) -> Schedule {
-    crate::commit::commit_batch(state, module_reuse, &mut Timeline::new())
+    crate::commit::commit_batch(state, module_reuse, &mut Timeline::new()).0
 }
 
 /// The timing-realization pass against an already-reset controller
@@ -59,7 +57,6 @@ pub(crate) fn realize_schedule_prepared(
     module_reuse: bool,
     icap: &mut Timeline,
 ) -> Schedule {
-    let t0 = Instant::now();
     let n = state.inst.graph.len();
 
     // Criticality of the fully-sequenced graph decides reconfiguration
@@ -240,22 +237,11 @@ pub(crate) fn realize_schedule_prepared(
         })
         .collect();
 
-    let schedule = Schedule {
+    Schedule {
         regions,
         assignments,
         reconfigurations,
-    };
-    state
-        .observer
-        .reconfigurations_planned(schedule.reconfigurations.len());
-    let core = state.timeline.stats();
-    let ctrl = icap.stats();
-    state.observer.timeline_stats(
-        core.reservations + ctrl.reservations,
-        core.gap_queries + ctrl.gap_queries,
-    );
-    state.observer.phase_finished(Phase::Reconf, t0.elapsed());
-    schedule
+    }
 }
 
 /// Marks `node` finished at `fin`; releases successors whose predecessors

@@ -7,13 +7,10 @@
 //! non-critical pass. Tasks that cannot be hosted anywhere fall back to
 //! their fastest software implementation.
 
-use std::time::Instant;
-
 use prfpga_model::{TaskId, TimeWindow};
 
 use crate::config::OrderingPolicy;
 use crate::state::SchedState;
-use crate::trace::Phase;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,7 +19,6 @@ use rand_chacha::ChaCha8Rng;
 /// Runs regions definition on `state` (after implementation selection and
 /// the initial CPM pass).
 pub fn define_regions(state: &mut SchedState<'_>, ordering: OrderingPolicy) {
-    let t0 = Instant::now();
     // Snapshot criticality and efficiency under the *initial* windows; the
     // paper fixes the processing order once.
     let hw_tasks: Vec<TaskId> = state
@@ -73,12 +69,6 @@ pub fn define_regions(state: &mut SchedState<'_>, ordering: OrderingPolicy) {
     for t in non_critical {
         place_non_critical(state, t);
     }
-
-    let hw = state.region_of.iter().filter(|r| r.is_some()).count();
-    state
-        .observer
-        .regions_defined(state.regions.len(), hw, state.inst.graph.len() - hw);
-    state.observer.phase_finished(Phase::Regions, t0.elapsed());
 }
 
 /// §V-C critical-task rule: reuse the smallest-bitstream compatible region,

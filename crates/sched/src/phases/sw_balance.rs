@@ -11,17 +11,13 @@
 //! * some region can host it without window overlap (and without creating
 //!   a dependency cycle through the sequencing arcs).
 
-use std::time::Instant;
-
 use prfpga_model::TaskId;
 
 use crate::state::SchedState;
-use crate::trace::Phase;
 
 /// Runs software task balancing; returns the number of tasks hoisted back
 /// to hardware.
 pub fn balance_software_tasks(state: &mut SchedState<'_>) -> usize {
-    let t0 = Instant::now();
     let mut hoisted = 0;
     loop {
         // Candidates: software tasks with hardware implementations,
@@ -49,10 +45,6 @@ pub fn balance_software_tasks(state: &mut SchedState<'_>) -> usize {
             }
         }
         if !moved {
-            state.observer.tasks_hoisted(hoisted);
-            state
-                .observer
-                .phase_finished(Phase::SwBalance, t0.elapsed());
             return hoisted;
         }
     }

@@ -9,18 +9,14 @@
 //! task pins the order, and the induced delay is propagated through the
 //! dependency graph by the incremental CPM update.
 
-use std::time::Instant;
-
 use prfpga_model::{TaskId, Time};
 use prfpga_timeline::LaneId;
 
 use crate::state::SchedState;
-use crate::trace::Phase;
 
 /// Runs software task mapping; fills `state.core_of` for software tasks
 /// and inserts per-core sequencing arcs.
 pub fn map_software_tasks(state: &mut SchedState<'_>) {
-    let t0 = Instant::now();
     let num_cores = state.inst.architecture.num_processors;
     // Snapshot processing order by current T_MIN (phase E anchors starts
     // at T_MIN).
@@ -101,7 +97,6 @@ pub fn map_software_tasks(state: &mut SchedState<'_>) {
                 .expect("occupancy starts at or after the core's drain");
         }
     }
-    state.observer.phase_finished(Phase::SwMap, t0.elapsed());
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use crate::config::{OrderingPolicy, SchedulerConfig};
 use crate::driver::{do_schedule_in, ImplSelectMemo, PaScheduler, VirtualTarget};
 use crate::error::SchedError;
 use crate::state::SchedWorkspace;
-use crate::trace::ObserverHandle;
+use crate::trace::PhaseTrace;
 
 /// A point on PA-R's anytime-convergence curve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +178,7 @@ impl PaRScheduler {
                     &target,
                     config,
                     OrderingPolicy::RandomizedNonCritical(rng.random()),
-                    &ObserverHandle::noop(),
+                    &mut PhaseTrace::default(),
                     Some(&mut memo),
                 );
                 let makespan = schedule.makespan();

@@ -55,7 +55,6 @@ use prfpga_timeline::{LaneId, Timeline};
 use crate::config::SchedulerConfig;
 use crate::driver::PaScheduler;
 use crate::error::SchedError;
-use crate::trace::ObserverHandle;
 
 /// Tuning of the repair engine.
 #[derive(Debug, Clone)]
@@ -79,8 +78,7 @@ impl Default for RepairConfig {
     }
 }
 
-/// Accumulated repair totals, mirrored into
-/// [`PhaseTrace`](crate::PhaseTrace) via the observer.
+/// Accumulated repair totals, read through [`RepairEngine::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Events applied.
@@ -199,7 +197,6 @@ pub struct RepairEngine {
     /// `t_in` it is; at most one, since region sequences are chains).
     rec_after_task: Vec<Option<u32>>,
     icap: Timeline,
-    observer: ObserverHandle,
     stats: RepairStats,
     /// Monotonic counter naming revised-implementation clones.
     revisions: u64,
@@ -241,18 +238,11 @@ impl RepairEngine {
             rec_of_task: Vec::new(),
             rec_after_task: Vec::new(),
             icap: Timeline::new(),
-            observer: ObserverHandle::noop(),
             stats: RepairStats::default(),
             revisions: 0,
         };
         engine.rebuild_model()?;
         Ok(engine)
-    }
-
-    /// Installs an observer; repairs report through
-    /// [`PhaseObserver::repair_applied`](crate::PhaseObserver::repair_applied).
-    pub fn set_observer(&mut self, observer: ObserverHandle) {
-        self.observer = observer;
     }
 
     /// The live (repaired-so-far) schedule.
@@ -295,11 +285,6 @@ impl RepairEngine {
         self.stats.moved_tasks += outcome.moved as u64;
         self.stats.recs_replaced += outcome.recs_replaced as u64;
         self.stats.full_resolves += u64::from(outcome.full_resolve);
-        self.observer.repair_applied(
-            outcome.frontier as u64,
-            outcome.moved as u64,
-            outcome.full_resolve,
-        );
         Ok(outcome)
     }
 

@@ -16,7 +16,6 @@ use prfpga_timeline::Timeline;
 use crate::driver::VirtualTarget;
 use crate::error::SchedError;
 use crate::metrics::MetricWeights;
-use crate::trace::ObserverHandle;
 
 /// A reconfigurable region being built up during regions definition.
 #[derive(Debug, Clone)]
@@ -192,10 +191,6 @@ pub struct SchedState<'a> {
     /// Whether the module-reuse extension is active (affects placement
     /// tie-breaking and reconfiguration planning).
     pub module_reuse: bool,
-    /// Observer the phases report wall-clock and counters to; no-op unless
-    /// the caller installs a recorder (like `module_reuse`, injected after
-    /// construction so direct phase callers are unaffected).
-    pub observer: ObserverHandle,
     /// Core-lane reservation kernel: phase F commits every mapped software
     /// task's occupancy here, making per-core drain queries O(1) via
     /// [`Timeline::free_from`] instead of rescanning assigned tasks.
@@ -330,7 +325,6 @@ impl<'a> SchedState<'a> {
             region_of,
             core_of,
             module_reuse: false,
-            observer: ObserverHandle::noop(),
             timeline,
             cpm_scratch,
             region_pool,
