@@ -36,7 +36,7 @@ pub use repair::{
 pub use report::{improvement_pct, mean, phase_trace_section, sample_std, GroupSummary};
 pub use runners::{run_heft, run_isk, run_pa, run_par_iters, run_par_timed, InstanceResult};
 pub use scale::{
-    check_throughput_regression, measure_scaling_entry, partition_quality_bench, peak_rss_kb,
+    check_scaling_regression, measure_scaling_entry, partition_quality_bench, peak_rss_kb,
     reach_microbench, scaling_instances, warmup_run, PartitionBench, PhaseMs, ReachBench, Scale,
     ScaleConfig, ScalingEntry, ScalingReport, ScalingStudyConfig,
 };
