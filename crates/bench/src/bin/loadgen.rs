@@ -1,31 +1,26 @@
 //! Service load generator: `BENCH_server.json`.
 //!
-//! Replays seeded synthetic traffic against the scheduling daemon — by
-//! default 60-task portfolio requests under 50 ms deadlines with a 20 ms
-//! inner budget, over the in-process transport — sweep-validates every
+//! Replays seeded synthetic traffic against the scheduling daemon —
+//! 60-task portfolio requests under 50 ms deadlines with a 10 ms inner
+//! budget, over the in-process transport — sweep-validates every
 //! response client-side, and writes the throughput / latency /
-//! deadline-hit report. A single invalid schedule fails the run.
+//! deadline-hit row.
 //!
 //! ```text
-//! loadgen [--requests N] [--clients N] [--threads N] [--tasks N]
-//!         [--seeds N] [--algo pa|par|is-5|portfolio] [--deadline-ms N]
-//!         [--budget-ms N] [--no-deadline] [--tcp]
+//! loadgen [--requests N] [--threads N] [--tcp]
 //!         [--out BENCH_server.json] [--check <baseline.json>]
 //!         [--tolerance-pct 20] [--min-hit-rate <pct>]
 //! ```
 //!
-//! With `--check`, exits non-zero when throughput drops more than the
-//! tolerance below the baseline file (CI's service smoke gate);
-//! `--min-hit-rate` additionally enforces a deadline-hit-rate floor.
+//! A single invalid schedule fails the run, and so does a deadline-hit
+//! rate under `--min-hit-rate`; both are checked before the row is
+//! written. With `--check`, the run also exits non-zero when throughput
+//! drops more than the tolerance below the baseline file (CI's service
+//! smoke gate).
 
-use prfpga_bench::{check_server_regression, run_server_load, LoadConfig, ServerLoadReport};
-use prfpga_model::service::AlgoChoice;
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+use prfpga_bench::{
+    flag, rows_table, run_server_load, write_and_check, LoadConfig, Trajectory, SERVER_GATES,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,105 +28,53 @@ fn main() {
     if let Some(v) = flag(&args, "--requests") {
         config.requests = v.parse().expect("--requests takes a count");
     }
-    if let Some(v) = flag(&args, "--clients") {
-        config.clients = v.parse().expect("--clients takes a count");
-    }
     if let Some(v) = flag(&args, "--threads") {
         config.workers = v.parse().expect("--threads takes a count");
     }
-    if let Some(v) = flag(&args, "--tasks") {
-        config.tasks = v.parse().expect("--tasks takes a count");
-    }
-    if let Some(v) = flag(&args, "--seeds") {
-        config.seeds = v.parse().expect("--seeds takes a count");
-    }
-    if let Some(v) = flag(&args, "--algo") {
-        config.algo = AlgoChoice::parse(&v)
-            .unwrap_or_else(|| panic!("--algo takes pa|par|is-<k>|portfolio, not {v}"));
-    }
-    if let Some(v) = flag(&args, "--deadline-ms") {
-        config.deadline_ms = Some(v.parse().expect("--deadline-ms takes milliseconds"));
-    }
-    if let Some(v) = flag(&args, "--budget-ms") {
-        config.budget_ms = Some(v.parse().expect("--budget-ms takes milliseconds"));
-    }
-    if args.iter().any(|a| a == "--no-deadline") {
-        config.deadline_ms = None;
-    }
     config.tcp = args.iter().any(|a| a == "--tcp");
-    let out = flag(&args, "--out").unwrap_or_else(|| "BENCH_server.json".into());
-    let tolerance: f64 = flag(&args, "--tolerance-pct")
-        .map(|v| v.parse().expect("--tolerance-pct takes a percentage"))
-        .unwrap_or(20.0);
     let min_hit_rate: f64 = flag(&args, "--min-hit-rate")
         .map(|v| v.parse().expect("--min-hit-rate takes a percentage"))
         .unwrap_or(0.0);
 
     eprintln!(
-        "loadgen: {} x {}-task {} requests, {} client(s) -> {} worker(s), deadline {:?} ms, budget {:?} ms, {}",
+        "loadgen: {} requests -> {} worker(s), {}",
         config.requests,
-        config.tasks,
-        config.algo,
-        if config.clients == 0 {
-            config.workers
-        } else {
-            config.clients
-        },
         config.workers,
-        config.deadline_ms,
-        config.budget_ms,
         if config.tcp { "tcp" } else { "in-proc" },
     );
 
-    let report = run_server_load(&config);
+    let row = run_server_load(&config);
     println!(
-        "served {}/{} ok ({} errors) in {:.2} s: {:.1} req/s, p50 {:.1} ms, p99 {:.1} ms",
-        report.ok,
-        report.requests,
-        report.errors,
-        report.duration_s,
-        report.req_per_sec,
-        report.p50_us as f64 / 1000.0,
-        report.p99_us as f64 / 1000.0,
-    );
-    println!(
-        "deadlines: {}/{} met ({:.1}%); workspaces: {} reuses / {} rebuilds",
-        report.deadline_met,
-        report.deadline_declared,
-        report.deadline_hit_rate_pct,
-        report.workspace_reuses,
-        report.workspace_rebuilds,
+        "{}",
+        rows_table(
+            std::slice::from_ref(&row),
+            &[
+                "ok",
+                "errors",
+                "req_per_sec",
+                "p50_us",
+                "p99_us",
+                "deadline_hit_rate_pct",
+                "workspace_reuses",
+                "workspace_rebuilds",
+            ]
+        )
     );
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("write server report");
-    eprintln!("wrote {out}");
-
-    if report.invalid_schedules > 0 {
+    let metric = |name| row.metric(name).expect("load rows carry every metric");
+    if metric("invalid_schedules") > 0.0 {
         eprintln!(
             "INVALID SCHEDULES: {} responses failed sweep validation",
-            report.invalid_schedules
+            metric("invalid_schedules")
         );
         std::process::exit(1);
     }
-    if report.deadline_hit_rate_pct < min_hit_rate {
+    if metric("deadline_hit_rate_pct") < min_hit_rate {
         eprintln!(
             "DEADLINE HIT RATE {:.1}% below the {min_hit_rate}% floor",
-            report.deadline_hit_rate_pct
+            metric("deadline_hit_rate_pct")
         );
         std::process::exit(1);
     }
-    if let Some(baseline_path) = flag(&args, "--check") {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let baseline: ServerLoadReport =
-            serde_json::from_str(&text).expect("baseline parses as a server load report");
-        match check_server_regression(&baseline, &report, tolerance) {
-            Ok(()) => eprintln!("service throughput within {tolerance}% of {baseline_path}"),
-            Err(msg) => {
-                eprintln!("SERVICE REGRESSION vs {baseline_path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_and_check(&Trajectory::new("server", vec![row]), &args, SERVER_GATES);
 }

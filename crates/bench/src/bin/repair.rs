@@ -13,17 +13,10 @@
 //! With `--check`, the run exits non-zero when any point's speedup drops
 //! more than the tolerance below the baseline file (CI's repair gate).
 
-use prfpga_bench::report::markdown_table;
 use prfpga_bench::{
-    baseline_with_resolve_us, check_repair_regression, measure_repair_entry, repair_instance,
-    warmup_run, RepairReport,
+    baseline_with_resolve_us, flag, measure_repair_row, repair_instance, rows_table, warmup_run,
+    write_and_check, Trajectory, REPAIR_GATES,
 };
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,83 +31,37 @@ fn main() {
         .split(',')
         .map(|s| s.trim().parse().expect("--events takes counts"))
         .collect();
-    let out = flag(&args, "--out").unwrap_or_else(|| "BENCH_repair.json".into());
-    let tolerance: f64 = flag(&args, "--tolerance-pct")
-        .map(|v| v.parse().expect("--tolerance-pct takes a percentage"))
-        .unwrap_or(20.0);
 
     eprintln!("repair study: sizes {sizes:?}, trace lengths {events:?}");
     // Same rationale as the scaling study: the first PA run of a fresh
     // process pays page faults and allocator growth.
     warmup_run();
 
-    let mut entries = Vec::new();
+    let mut rows = Vec::new();
     for &tasks in &sizes {
         let inst = repair_instance(tasks);
         let (baseline, resolve_us) = baseline_with_resolve_us(&inst);
         eprintln!("  {tasks} tasks: full re-solve {:.0} us", resolve_us);
         for &k in &events {
-            let entry = measure_repair_entry(&inst, &baseline, resolve_us, k);
-            eprintln!(
-                "    {k:3} events: {:.0} us/event ({:.1}x vs re-solve, {} full re-solves)",
-                entry.repair_us_per_event, entry.speedup, entry.full_resolves
-            );
-            entries.push(entry);
+            rows.push(measure_repair_row(&inst, &baseline, resolve_us, k));
         }
     }
 
-    let report = RepairReport {
-        schema: RepairReport::SCHEMA.into(),
-        entries,
-    };
-
     println!("### Repair cost vs perturbation\n");
-    let rows: Vec<Vec<String>> = report
-        .entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.tasks.to_string(),
-                e.events.to_string(),
-                format!("{:.0}", e.resolve_us),
-                format!("{:.0}", e.repair_us_per_event),
-                format!("{:.1}", e.speedup),
-                e.full_resolves.to_string(),
-                format!("{} -> {}", e.makespan_before, e.makespan_after),
-            ]
-        })
-        .collect();
     println!(
         "{}",
-        markdown_table(
+        rows_table(
+            &rows,
             &[
-                "# tasks",
-                "events",
-                "re-solve us",
-                "repair us/event",
+                "resolve_us",
+                "repair_us_per_event",
                 "speedup",
-                "full re-solves",
-                "makespan",
-            ],
-            &rows
+                "full_resolves",
+                "makespan_before",
+                "makespan_after",
+            ]
         )
     );
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").expect("write repair report");
-    eprintln!("wrote {out}");
-
-    if let Some(baseline_path) = flag(&args, "--check") {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let baseline: RepairReport =
-            serde_json::from_str(&text).expect("baseline parses as a repair report");
-        match check_repair_regression(&baseline, &report, tolerance) {
-            Ok(()) => eprintln!("repair speedups within {tolerance}% of {baseline_path}"),
-            Err(msg) => {
-                eprintln!("REPAIR REGRESSION vs {baseline_path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_and_check(&Trajectory::new("repair", rows), &args, REPAIR_GATES);
 }

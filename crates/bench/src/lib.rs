@@ -14,6 +14,10 @@
 //! | Ablations | `ablation_*` | ordering / cost metric / balancing studies |
 //! | All | `all_experiments` | runs everything and emits a Markdown report |
 //!
+//! Beyond the paper, `scaling`, `repair` and `loadgen` write the
+//! `BENCH_{scaling,repair,server}.json` trajectories in one schema, each
+//! gated in CI by one regression check ([`trajectory`]).
+//!
 //! Instances come from the deterministic generator (`prfpga-gen`); every
 //! schedule is revalidated by `prfpga-sim` before its makespan is
 //! counted. The harness honours a `PRFPGA_SCALE` environment variable:
@@ -28,16 +32,18 @@ pub mod report;
 pub mod runners;
 pub mod scale;
 pub mod server_load;
+pub mod trajectory;
 
 pub use repair::{
-    baseline_with_resolve_us, check_repair_regression, measure_repair_entry, repair_instance,
-    RepairEntry, RepairReport, REPAIR_SEED,
+    baseline_with_resolve_us, measure_repair_row, repair_instance, REPAIR_GATES, REPAIR_SEED,
 };
 pub use report::{improvement_pct, mean, phase_trace_section, sample_std, GroupSummary};
 pub use runners::{run_heft, run_isk, run_pa, run_par_iters, run_par_timed, InstanceResult};
 pub use scale::{
-    check_scaling_regression, measure_scaling_entry, partition_quality_bench, peak_rss_kb,
-    reach_microbench, scaling_instances, warmup_run, PartitionBench, PhaseMs, ReachBench, Scale,
-    ScaleConfig, ScalingEntry, ScalingReport, ScalingStudyConfig,
+    measure_scaling_row, partition_quality_bench, peak_rss_kb, reach_microbench, scaling_instances,
+    warmup_run, Scale, ScaleConfig, ScalingStudyConfig, SCALING_GATES,
 };
-pub use server_load::{check_server_regression, run_server_load, LoadConfig, ServerLoadReport};
+pub use server_load::{run_server_load, LoadConfig, SERVER_GATES};
+pub use trajectory::{
+    check_regression, flag, rows_table, write_and_check, Better, Gate, Metric, Row, Trajectory,
+};

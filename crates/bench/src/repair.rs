@@ -19,49 +19,19 @@ use prfpga_gen::{EventConfig, EventTraceGenerator, GraphConfig, TaskGraphGenerat
 use prfpga_model::{Architecture, ProblemInstance, Schedule};
 use prfpga_sched::{PaScheduler, RepairConfig, RepairEngine, SchedulerConfig};
 use prfpga_sim::validate_schedule_sweep;
-use serde::{Deserialize, Serialize};
+
+use crate::scale::median;
+use crate::trajectory::{Better, Gate, Row};
 
 /// Seed of the repair corpus (instances and traces are pure functions of
 /// it, so every run replays identical work).
 pub const REPAIR_SEED: u64 = 0x000E_7A11;
 
-/// One `(size, trace length)` measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RepairEntry {
-    /// Tasks in the instance.
-    pub tasks: usize,
-    /// Events in the replayed trace.
-    pub events: usize,
-    /// Full PA pipeline wall-clock on the instance, microseconds (the
-    /// re-solve an online system would otherwise pay per event).
-    pub resolve_us: f64,
-    /// Mean repair wall-clock per event, microseconds.
-    pub repair_us_per_event: f64,
-    /// `resolve_us / repair_us_per_event` — the study's headline figure.
-    pub speedup: f64,
-    /// Events the engine escalated to a full re-solve (cascade threshold).
-    pub full_resolves: u64,
-    /// Tasks re-timed across the whole trace.
-    pub frontier_tasks: u64,
-    /// Baseline makespan, ticks.
-    pub makespan_before: u64,
-    /// Makespan after the full trace, ticks.
-    pub makespan_after: u64,
-}
-
-/// The persisted repair-cost trajectory (`BENCH_repair.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RepairReport {
-    /// Format tag for forward compatibility.
-    pub schema: String,
-    /// Per-(size, trace length) measurements.
-    pub entries: Vec<RepairEntry>,
-}
-
-impl RepairReport {
-    /// Schema tag written by this version of the study.
-    pub const SCHEMA: &'static str = "prfpga-repair-v1";
-}
+/// The repair study's CI gate: the per-event speedup over a re-solve.
+pub const REPAIR_GATES: &[Gate] = &[Gate {
+    metric: "speedup",
+    better: Better::Higher,
+}];
 
 /// Generates the deterministic instance for one size.
 pub fn repair_instance(tasks: usize) -> ProblemInstance {
@@ -86,18 +56,23 @@ pub fn baseline_with_resolve_us(inst: &ProblemInstance) -> (Schedule, f64) {
         *slot = t0.elapsed().as_secs_f64() * 1e6;
         schedule = Some(s);
     }
-    us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    (schedule.expect("three runs happened"), us[1])
+    (schedule.expect("three runs happened"), median(&mut us))
 }
 
-/// Measures one `(size, events)` point: replays a standard-mix trace of
-/// `events` events against a fresh engine and times the repairs.
-pub fn measure_repair_entry(
+/// Measures one `(size, events)` point, row `"<tasks> tasks / <events>
+/// events"`: replays a standard-mix trace of `events` events against a
+/// fresh engine and times the repairs. The metrics are `resolve_us` (the
+/// full PA pipeline an online system would otherwise pay per event),
+/// `repair_us_per_event` (mean repair wall-clock), `speedup` (their
+/// ratio, the study's headline figure), `full_resolves` (events escalated
+/// to a re-solve), `frontier_tasks` (tasks re-timed over the trace) and
+/// the makespan before and after the trace, in ticks.
+pub fn measure_repair_row(
     inst: &ProblemInstance,
     baseline: &Schedule,
     resolve_us: f64,
     events: usize,
-) -> RepairEntry {
+) -> Row {
     let trace = EventTraceGenerator::new(REPAIR_SEED ^ events as u64).generate(
         inst,
         baseline,
@@ -126,49 +101,19 @@ pub fn measure_repair_entry(
 
     let stats = engine.stats();
     let per_event = repair_us_total / trace.events.len().max(1) as f64;
-    RepairEntry {
-        tasks: inst.graph.len(),
-        events: trace.events.len(),
-        resolve_us,
-        repair_us_per_event: per_event,
-        speedup: resolve_us / per_event.max(1e-3),
-        full_resolves: stats.full_resolves,
-        frontier_tasks: stats.frontier_tasks,
-        makespan_before: baseline.makespan(),
-        makespan_after: engine.schedule().makespan(),
-    }
-}
-
-/// Compares `current` against `baseline`: an error lists every
-/// `(size, events)` point whose speedup dropped more than `tolerance_pct`
-/// percent. Points present only on one side are ignored.
-pub fn check_repair_regression(
-    baseline: &RepairReport,
-    current: &RepairReport,
-    tolerance_pct: f64,
-) -> Result<(), String> {
-    let mut failures = Vec::new();
-    for base in &baseline.entries {
-        let Some(cur) = current
-            .entries
-            .iter()
-            .find(|e| e.tasks == base.tasks && e.events == base.events)
-        else {
-            continue;
-        };
-        let floor = base.speedup * (1.0 - tolerance_pct / 100.0);
-        if cur.speedup < floor {
-            failures.push(format!(
-                "{} tasks / {} events: speedup {:.1}x < {:.1}x ({}% below baseline {:.1}x)",
-                base.tasks, base.events, cur.speedup, floor, tolerance_pct, base.speedup
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    Row::new(
+        format!("{} tasks / {} events", inst.graph.len(), trace.events.len()),
+        &[],
+        &[
+            ("resolve_us", resolve_us),
+            ("repair_us_per_event", per_event),
+            ("speedup", resolve_us / per_event.max(1e-3)),
+            ("full_resolves", stats.full_resolves as f64),
+            ("frontier_tasks", stats.frontier_tasks as f64),
+            ("makespan_before", baseline.makespan() as f64),
+            ("makespan_after", engine.schedule().makespan() as f64),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -176,60 +121,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn repair_entry_on_small_instance() {
+    fn repair_row_on_small_instance() {
         let inst = repair_instance(60);
         let (baseline, resolve_us) = baseline_with_resolve_us(&inst);
-        let entry = measure_repair_entry(&inst, &baseline, resolve_us, 8);
-        assert_eq!(entry.tasks, 60);
-        assert_eq!(entry.events, 8);
-        assert!(entry.repair_us_per_event > 0.0);
-        assert!(entry.speedup > 0.0);
-    }
-
-    #[test]
-    fn repair_report_round_trips_through_json() {
-        let report = RepairReport {
-            schema: RepairReport::SCHEMA.into(),
-            entries: vec![RepairEntry {
-                tasks: 1000,
-                events: 8,
-                resolve_us: 50_000.0,
-                repair_us_per_event: 500.0,
-                speedup: 100.0,
-                full_resolves: 1,
-                frontier_tasks: 42,
-                makespan_before: 90_000,
-                makespan_after: 88_000,
-            }],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: RepairReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn regression_check_flags_speedup_drops_only() {
-        let entry = |tasks: usize, events: usize, speedup: f64| RepairEntry {
-            tasks,
-            events,
-            resolve_us: 0.0,
-            repair_us_per_event: 0.0,
-            speedup,
-            full_resolves: 0,
-            frontier_tasks: 0,
-            makespan_before: 0,
-            makespan_after: 0,
-        };
-        let report = |entries: Vec<RepairEntry>| RepairReport {
-            schema: RepairReport::SCHEMA.into(),
-            entries,
-        };
-        let base = report(vec![entry(1000, 1, 100.0), entry(10_000, 64, 40.0)]);
-        let ok = report(vec![entry(1000, 1, 81.0), entry(10_000, 64, 60.0)]);
-        assert!(check_repair_regression(&base, &ok, 20.0).is_ok());
-        let slow = report(vec![entry(1000, 1, 79.0), entry(10_000, 64, 40.0)]);
-        let err = check_repair_regression(&base, &slow, 20.0).unwrap_err();
-        assert!(err.contains("1000 tasks / 1 events"), "{err}");
-        assert!(!err.contains("10000"), "{err}");
+        let row = measure_repair_row(&inst, &baseline, resolve_us, 8);
+        assert_eq!(row.key, "60 tasks / 8 events");
+        assert!(row.metric("repair_us_per_event").unwrap() > 0.0);
+        assert!(row.metric("speedup").unwrap() > 0.0);
     }
 }

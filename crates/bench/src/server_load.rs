@@ -17,7 +17,8 @@ use prfpga_model::service::{
 use prfpga_model::ProblemInstance;
 use prfpga_server::{in_proc, tcp_client, ClientConn, Server, ServerConfig, TcpTransport};
 use prfpga_sim::validate_schedule_sweep;
-use serde::{Deserialize, Serialize};
+
+use crate::trajectory::{Better, Gate, Row};
 
 /// Traffic shape of one load run.
 #[derive(Debug, Clone)]
@@ -62,81 +63,13 @@ impl Default for LoadConfig {
     }
 }
 
-/// One load run's results (`prfpga-server-v1`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServerLoadReport {
-    /// Schema tag, [`ServerLoadReport::SCHEMA`].
-    pub schema: String,
-    /// `in-proc` or `tcp`.
-    pub transport: String,
-    /// Algorithm the traffic requested.
-    pub algo: String,
-    /// Tasks per instance.
-    pub tasks: usize,
-    /// Server worker threads.
-    pub workers: usize,
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Schedule requests sent.
-    pub requests: u64,
-    /// `ok` responses.
-    pub ok: u64,
-    /// Typed error responses (admission rejections included).
-    pub errors: u64,
-    /// Responses whose schedule failed the client-side sweep validation
-    /// (any nonzero value fails the run).
-    pub invalid_schedules: u64,
-    /// Wall-clock of the traffic phase, seconds.
-    pub duration_s: f64,
-    /// Served requests per second over the traffic phase.
-    pub req_per_sec: f64,
-    /// Requests that declared a deadline.
-    pub deadline_declared: u64,
-    /// Declared-deadline requests answered in time.
-    pub deadline_met: u64,
-    /// `deadline_met / deadline_declared`, percent (100 when none).
-    pub deadline_hit_rate_pct: f64,
-    /// Server-side median service time, microseconds.
-    pub p50_us: u64,
-    /// Server-side 99th-percentile service time, microseconds.
-    pub p99_us: u64,
-    /// Worker workspace rewinds over the run.
-    pub workspace_reuses: u64,
-    /// Worker workspace rebuilds over the run.
-    pub workspace_rebuilds: u64,
-    /// Admission rejections: queue full.
-    pub rejected_queue_full: u64,
-    /// Admission rejections: deadline unmeetable.
-    pub rejected_unmeetable: u64,
-}
-
-impl ServerLoadReport {
-    /// Schema tag of the report format.
-    pub const SCHEMA: &'static str = "prfpga-server-v1";
-}
-
-/// Compares a run against a committed baseline: fails when any schedule
-/// was invalid or throughput dropped more than `tolerance_pct` percent.
-pub fn check_server_regression(
-    baseline: &ServerLoadReport,
-    current: &ServerLoadReport,
-    tolerance_pct: f64,
-) -> Result<(), String> {
-    if current.invalid_schedules > 0 {
-        return Err(format!(
-            "{} responses failed client-side sweep validation",
-            current.invalid_schedules
-        ));
-    }
-    let floor = baseline.req_per_sec * (1.0 - tolerance_pct / 100.0);
-    if current.req_per_sec < floor {
-        return Err(format!(
-            "throughput {:.1} req/s is below {:.1} (baseline {:.1} - {tolerance_pct}%)",
-            current.req_per_sec, floor, baseline.req_per_sec
-        ));
-    }
-    Ok(())
-}
+/// The load study's CI gate: served requests per second. An invalid
+/// schedule and the deadline-hit-rate floor are absolute checks in
+/// `loadgen`, not regressions against a baseline.
+pub const SERVER_GATES: &[Gate] = &[Gate {
+    metric: "req_per_sec",
+    better: Better::Higher,
+}];
 
 /// Builds the wire line of request `id` for profile seed `seed`.
 fn request_line(config: &LoadConfig, id: u64, seed: u64) -> String {
@@ -156,7 +89,7 @@ fn request_line(config: &LoadConfig, id: u64, seed: u64) -> String {
     serde_json::to_string(&req).expect("requests serialize")
 }
 
-/// Per-client tallies, merged into the report.
+/// Per-client tallies, merged into the row.
 #[derive(Default)]
 struct ClientTally {
     ok: u64,
@@ -205,8 +138,21 @@ fn drive_client(
 }
 
 /// Runs one load study: starts a server, drives the traffic, stops the
-/// server, and merges client- and server-side tallies into the report.
-pub fn run_server_load(config: &LoadConfig) -> ServerLoadReport {
+/// server, and merges client- and server-side tallies into one row,
+/// `"closed-loop traffic"`.
+///
+/// The setup is the transport (`transport/in-proc` or `transport/tcp`),
+/// the algorithm (`algo/<name>`), `tasks` per instance, server `workers`
+/// and concurrent `clients`. `requests` is a metric, not setup: it is run
+/// length, and a shorter run compares against a longer baseline. The
+/// other metrics count `ok` responses, typed `errors` (admission
+/// rejections included) and `invalid_schedules` (responses failing the
+/// client-side sweep validation); time the traffic phase (`duration_s`,
+/// `req_per_sec` served); count declared and met deadlines and their
+/// `deadline_hit_rate_pct` (100 when none); and copy the server's
+/// median and 99th-percentile service time (`p50_us`, `p99_us`),
+/// workspace reuses and rebuilds, and admission rejections.
+pub fn run_server_load(config: &LoadConfig) -> Row {
     let clients = if config.clients == 0 {
         config.workers
     } else {
@@ -271,33 +217,44 @@ pub fn run_server_load(config: &LoadConfig) -> ServerLoadReport {
     let sum = |f: fn(&ClientTally) -> u64| tallies.iter().map(f).sum::<u64>();
     let (ok, errors, invalid) = (sum(|t| t.ok), sum(|t| t.errors), sum(|t| t.invalid));
     let (declared, met) = (sum(|t| t.declared), sum(|t| t.met));
-    ServerLoadReport {
-        schema: ServerLoadReport::SCHEMA.into(),
-        transport: if config.tcp { "tcp" } else { "in-proc" }.into(),
-        algo: config.algo.to_string(),
-        tasks: config.tasks,
-        workers: config.workers,
-        clients,
-        requests: config.requests as u64,
-        ok,
-        errors,
-        invalid_schedules: invalid,
-        duration_s: duration.as_secs_f64(),
-        req_per_sec: ok as f64 / duration.as_secs_f64().max(f64::EPSILON),
-        deadline_declared: declared,
-        deadline_met: met,
-        deadline_hit_rate_pct: if declared == 0 {
-            100.0
-        } else {
-            met as f64 * 100.0 / declared as f64
-        },
-        p50_us: stats.p50_us,
-        p99_us: stats.p99_us,
-        workspace_reuses: stats.workspace_reuses,
-        workspace_rebuilds: stats.workspace_rebuilds,
-        rejected_queue_full: stats.rejected_queue_full,
-        rejected_unmeetable: stats.rejected_unmeetable,
-    }
+    let transport = if config.tcp { "tcp" } else { "in-proc" };
+    Row::new(
+        "closed-loop traffic".into(),
+        &[
+            (&format!("transport/{transport}"), 1.0),
+            (&format!("algo/{}", config.algo), 1.0),
+            ("tasks", config.tasks as f64),
+            ("workers", config.workers as f64),
+            ("clients", clients as f64),
+        ],
+        &[
+            ("requests", config.requests as f64),
+            ("ok", ok as f64),
+            ("errors", errors as f64),
+            ("invalid_schedules", invalid as f64),
+            ("duration_s", duration.as_secs_f64()),
+            (
+                "req_per_sec",
+                ok as f64 / duration.as_secs_f64().max(f64::EPSILON),
+            ),
+            ("deadline_declared", declared as f64),
+            ("deadline_met", met as f64),
+            (
+                "deadline_hit_rate_pct",
+                if declared == 0 {
+                    100.0
+                } else {
+                    met as f64 * 100.0 / declared as f64
+                },
+            ),
+            ("p50_us", stats.p50_us as f64),
+            ("p99_us", stats.p99_us as f64),
+            ("workspace_reuses", stats.workspace_reuses as f64),
+            ("workspace_rebuilds", stats.workspace_rebuilds as f64),
+            ("rejected_queue_full", stats.rejected_queue_full as f64),
+            ("rejected_unmeetable", stats.rejected_unmeetable as f64),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -320,68 +277,26 @@ mod tests {
 
     #[test]
     fn tiny_load_run_answers_everything_validly() {
-        let report = run_server_load(&tiny_config());
-        assert_eq!(report.ok, 12);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.invalid_schedules, 0);
-        assert_eq!(report.deadline_declared, 12);
-        assert!(report.req_per_sec > 0.0);
-        assert!(report.workspace_reuses + report.workspace_rebuilds > 0);
+        let row = run_server_load(&tiny_config());
+        assert_eq!(row.metric("ok"), Some(12.0));
+        assert_eq!(row.metric("errors"), Some(0.0));
+        assert_eq!(row.metric("invalid_schedules"), Some(0.0));
+        assert_eq!(row.metric("deadline_declared"), Some(12.0));
+        assert!(row.metric("req_per_sec").unwrap() > 0.0);
+        let workspaces =
+            row.metric("workspace_reuses").unwrap() + row.metric("workspace_rebuilds").unwrap();
+        assert!(workspaces > 0.0);
     }
 
     #[test]
     fn tcp_load_run_matches_the_in_proc_path() {
-        let report = run_server_load(&LoadConfig {
+        let row = run_server_load(&LoadConfig {
             requests: 6,
             tcp: true,
             ..tiny_config()
         });
-        assert_eq!(report.transport, "tcp");
-        assert_eq!(report.ok, 6);
-        assert_eq!(report.invalid_schedules, 0);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = run_server_load(&LoadConfig {
-            requests: 4,
-            ..tiny_config()
-        });
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: ServerLoadReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn regression_check_flags_drops_and_invalid_schedules() {
-        let entry = |rps: f64, invalid: u64| ServerLoadReport {
-            schema: ServerLoadReport::SCHEMA.into(),
-            transport: "in-proc".into(),
-            algo: "portfolio".into(),
-            tasks: 60,
-            workers: 4,
-            clients: 4,
-            requests: 100,
-            ok: 100,
-            errors: 0,
-            invalid_schedules: invalid,
-            duration_s: 1.0,
-            req_per_sec: rps,
-            deadline_declared: 100,
-            deadline_met: 99,
-            deadline_hit_rate_pct: 99.0,
-            p50_us: 20_000,
-            p99_us: 40_000,
-            workspace_reuses: 50,
-            workspace_rebuilds: 50,
-            rejected_queue_full: 0,
-            rejected_unmeetable: 0,
-        };
-        let base = entry(150.0, 0);
-        assert!(check_server_regression(&base, &entry(125.0, 0), 20.0).is_ok());
-        let err = check_server_regression(&base, &entry(110.0, 0), 20.0).unwrap_err();
-        assert!(err.contains("below"), "{err}");
-        let err = check_server_regression(&base, &entry(150.0, 1), 20.0).unwrap_err();
-        assert!(err.contains("sweep"), "{err}");
+        assert_eq!(row.setup[0].name, "transport/tcp");
+        assert_eq!(row.metric("ok"), Some(6.0));
+        assert_eq!(row.metric("invalid_schedules"), Some(0.0));
     }
 }
