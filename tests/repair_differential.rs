@@ -136,3 +136,100 @@ fn repaired_makespan_tracks_the_full_resolve() {
         }
     }
 }
+
+/// FNV-1a (64-bit) folded over `bytes`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// Output pin: one FNV-1a digest over every `RepairOutcome` (a refused
+/// event folds in its error text), the engine's closing `RepairStats`
+/// and the final schedule and revised instance JSON of seeded
+/// standard-mix traces on three targets: the single-controller zedboard,
+/// the four-fabric Alveo U250 with two controllers per fabric and the
+/// dual zedboard with three. Each target runs traces with the cascade
+/// off (delta path only) and one at the default threshold (full
+/// re-solves included). Each trace has as many events as the instance
+/// has tasks, so its arrivals carry the graph past 128 nodes. A change
+/// to the engine that claims identical output must leave the constant
+/// alone, in debug and release builds.
+#[test]
+fn repair_trace_digest_is_pinned() {
+    use prfpga::gen::GraphConfig;
+
+    let targets = [
+        ("zedboard", 120, Architecture::zedboard_pr()),
+        (
+            "alveo_u250",
+            120,
+            Architecture::on_platform(2, Platform::alveo_u250()).with_reconfig_controllers(2),
+        ),
+        (
+            "dual_zedboard",
+            120,
+            Architecture::on_platform(2, Platform::dual_zedboard()).with_reconfig_controllers(3),
+        ),
+    ];
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for (name, tasks, arch) in targets {
+        let inst = TaskGraphGenerator::new(5).generate(
+            &format!("repair_pin_{name}"),
+            &GraphConfig::standard(tasks),
+            arch,
+        );
+        let schedule = PaScheduler::new(SchedulerConfig::default())
+            .schedule(&inst)
+            .expect("generated instances solve");
+        for (cascade_threshold_pct, seed) in [(100, 3u64), (100, 9), (50, 21)] {
+            let trace = EventTraceGenerator::new(seed).generate(
+                &inst,
+                &schedule,
+                &EventConfig::standard(tasks),
+            );
+            let config = RepairConfig {
+                cascade_threshold_pct,
+                ..RepairConfig::default()
+            };
+            let mut engine =
+                RepairEngine::new(inst.clone(), schedule.clone(), config).expect("clean baseline");
+            for ev in &trace.events {
+                match engine.apply(ev) {
+                    Ok(o) => {
+                        for field in [
+                            o.frontier as u64,
+                            o.moved as u64,
+                            o.recs_replaced as u64,
+                            u64::from(o.full_resolve),
+                            o.makespan,
+                        ] {
+                            hash = fnv1a(hash, &field.to_le_bytes());
+                        }
+                    }
+                    Err(e) => hash = fnv1a(hash, e.to_string().as_bytes()),
+                }
+            }
+            let s = engine.stats();
+            for field in [
+                s.frontier_tasks,
+                s.moved_tasks,
+                s.recs_replaced,
+                s.commit_edits,
+                s.full_resolves,
+                s.retired_tasks,
+            ] {
+                hash = fnv1a(hash, &field.to_le_bytes());
+            }
+            let json = serde_json::to_string(engine.schedule()).expect("schedules serialize");
+            hash = fnv1a(hash, json.as_bytes());
+            hash = fnv1a(hash, engine.instance().to_json().as_bytes());
+        }
+    }
+    assert_eq!(
+        hash, 3_541_218_240_897_130_509,
+        "repair outcomes or repaired schedules changed"
+    );
+}
