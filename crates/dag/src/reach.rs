@@ -145,10 +145,12 @@ pub fn ancestors(dag: &Dag, to: NodeId) -> Vec<NodeId> {
 /// Staleness is tracked through [`Dag::version`]: the index records the
 /// version it matches and [`ReachIndex::add_edge`] keeps it synchronized
 /// through dynamic arc insertion (an ancestor-propagation worklist with
-/// containment pruning). Any other mutation — rollback included — bumps
-/// the graph's version and the index answers [`ReachIndex::is_current`]
-/// `false` until [`ReachIndex::sync`] rebuilds it; the DFS
-/// [`is_reachable`] stays the always-correct fallback and oracle.
+/// containment pruning), [`ReachIndex::add_node`] through node growth and
+/// [`ReachIndex::retire_node`] through source retirement. Any other
+/// mutation — rollback included — bumps the graph's version and the index
+/// answers [`ReachIndex::is_current`] `false` until [`ReachIndex::sync`]
+/// rebuilds it; the DFS [`is_reachable`] stays the always-correct
+/// fallback and oracle.
 #[derive(Clone, Default)]
 pub struct ReachIndex {
     n: usize,
@@ -217,6 +219,50 @@ impl ReachIndex {
         from == to
             || self.bits[from as usize * self.words + (to as usize >> 6)] >> (to as usize & 63) & 1
                 == 1
+    }
+
+    /// The proper descendants of `v` in ascending id order: the set bits
+    /// of its closure row, `O(n / 64 + |descendants|)`. Equal to
+    /// [`descendants`] on the graph the closure matches.
+    pub fn descendants(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let row = &self.bits[v as usize * self.words..(v as usize + 1) * self.words];
+        row.iter().enumerate().flat_map(|(i, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                if word == 0 {
+                    return None;
+                }
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                Some((i * 64 + bit) as NodeId)
+            })
+        })
+    }
+
+    /// [`Dag::add_node`] mirrored through the closure: appends an isolated
+    /// node to `dag` and an empty row to the index, which stays current.
+    /// When the node count crosses a multiple of 64 every row gains a
+    /// word and is moved to the new stride in place, `O(n² / 64)` once
+    /// per 64 nodes; otherwise the cost is one row. Panics when the index
+    /// is stale.
+    pub fn add_node(&mut self, dag: &mut Dag) -> NodeId {
+        assert!(self.is_current(dag), "index stale for this graph");
+        let v = dag.add_node();
+        let (old, n) = (self.words, self.n + 1);
+        let words = n.div_ceil(64);
+        self.bits.resize(n * words, 0);
+        if words != old {
+            // Last row first: row `r` moves up to `r * words`, past the
+            // end of every lower row still waiting at `r' * old`.
+            for r in (0..self.n).rev() {
+                self.bits.copy_within(r * old..(r + 1) * old, r * words);
+                self.bits[r * words + old..(r + 1) * words].fill(0);
+            }
+        }
+        self.n = n;
+        self.words = words;
+        self.version = dag.version();
+        v
     }
 
     /// [`Dag::add_edge`] accelerated by the closure: the cycle probe is an

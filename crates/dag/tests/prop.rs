@@ -5,10 +5,22 @@ use proptest::prelude::*;
 use prfpga_dag::{reach, CpmAnalysis, CpmScratch, CsrView, Dag, ReachIndex};
 use prfpga_model::Time;
 
-/// Strategy: a random DAG on `n` nodes where edges only go from lower to
-/// higher index (guaranteeing acyclicity), plus random durations.
+/// Strategy: a random DAG of 2..40 nodes, so every bitset over it fits in
+/// one 64-bit word.
 fn random_dag() -> impl Strategy<Value = (Dag, Vec<Time>)> {
-    (2usize..40).prop_flat_map(|n| {
+    random_dag_of(2..40)
+}
+
+/// Strategy: a random DAG of 65..=200 nodes, so the CPM worklist and every
+/// closure row span two to four 64-bit words.
+fn wide_dag() -> impl Strategy<Value = (Dag, Vec<Time>)> {
+    random_dag_of(65..201)
+}
+
+/// Strategy: a random DAG on `n ∈ sizes` nodes where edges only go from
+/// lower to higher index (guaranteeing acyclicity), plus random durations.
+fn random_dag_of(sizes: std::ops::Range<usize>) -> impl Strategy<Value = (Dag, Vec<Time>)> {
+    sizes.prop_flat_map(|n| {
         let edges = proptest::collection::vec((0..n, 0..n), 0..(n * 2));
         let durs = proptest::collection::vec(0u64..1000, n);
         (Just(n), edges, durs).prop_map(|(n, edges, durs)| {
@@ -97,27 +109,10 @@ proptest! {
     /// fast path rests on.
     #[test]
     fn incremental_cpm_equals_full_recompute(
-        (mut dag, mut durs) in random_dag(),
+        (dag, durs) in random_dag(),
         muts in proptest::collection::vec((0usize..40, 0usize..40, 0u64..1000), 1..25),
     ) {
-        let n = dag.len();
-        let mut scratch = CpmScratch::default();
-        let mut cpm = CpmAnalysis::default();
-        cpm.recompute(&dag, &durs, None, &mut scratch);
-        for (step, (a, b, d)) in muts.into_iter().enumerate() {
-            let (a, b) = (a % n, b % n);
-            if a != b && d % 2 == 0 {
-                // Arc insertion (skipped when it would close a cycle —
-                // matching how the schedulers probe before inserting).
-                let (lo, hi) = ((a.min(b)) as u32, (a.max(b)) as u32);
-                dag.add_edge(lo, hi).unwrap();
-                cpm.apply_arc(&dag, &durs, lo, hi, &mut scratch);
-            } else {
-                durs[a] = d;
-                cpm.apply_duration(&dag, &durs, a as u32, &mut scratch);
-            }
-            prop_assert_eq!(&cpm, &CpmAnalysis::run(&dag, &durs), "step {}", step);
-        }
+        check_incremental_cpm(dag, durs, muts)?;
     }
 
     /// The CSR + bitset-closure fast paths agree with the journaled
@@ -128,69 +123,10 @@ proptest! {
     /// the next `from_workspace`).
     #[test]
     fn csr_and_closure_match_adjacency_dfs_through_rollback(
-        (dag0, _durs) in random_dag(),
+        (dag, _durs) in random_dag(),
         ops in proptest::collection::vec((0usize..40, 0usize..40, 0u8..8), 1..30),
     ) {
-        let mut dag = dag0.clone();   // driven through ReachIndex::add_edge
-        let mut mirror = dag0;        // plain adjacency + DFS oracle
-        let n = dag.len();
-        let mut csr = CsrView::new();
-        csr.build(&dag);
-        let mut index = ReachIndex::new();
-        index.sync(&dag, csr.topo_order());
-        let mut marks = Vec::new();
-        for (a, b, kind) in ops {
-            let (a, b) = ((a % n) as u32, (b % n) as u32);
-            match kind {
-                // Edge insertion: through the maintained closure when it is
-                // current (the schedulers' fast path), plain otherwise.
-                0..=3 => {
-                    let fast = if index.is_current(&dag) {
-                        index.add_edge(&mut dag, a, b)
-                    } else {
-                        dag.add_edge(a, b)
-                    };
-                    let oracle = mirror.add_edge(a, b);
-                    prop_assert_eq!(fast.is_ok(), oracle.is_ok());
-                }
-                // Journal mark / rollback (LIFO, as the schedulers nest them).
-                4 => marks.push((dag.checkpoint(), mirror.checkpoint())),
-                5 => {
-                    if let Some((cd, cm)) = marks.pop() {
-                        dag.rollback(cd);
-                        mirror.rollback(cm);
-                    }
-                }
-                // Re-sync, as `SchedState::from_workspace` does per run.
-                _ => {
-                    csr.build(&dag);
-                    index.sync(&dag, csr.topo_order());
-                }
-            }
-            // Both graphs evolved identically regardless of insertion path.
-            prop_assert_eq!(&dag, &mirror);
-            // A current closure answers exactly like the DFS for the mutated
-            // pair and a strided sample; a stale one must say so.
-            if index.is_current(&dag) {
-                for i in 0..16u32 {
-                    let (u, v) = ((a + i) % n as u32, (b + i * 7) % n as u32);
-                    prop_assert_eq!(index.query(u, v), reach::is_reachable(&dag, u, v));
-                }
-            }
-        }
-        // Final all-pairs sweep against a freshly synced closure and CSR.
-        csr.build(&dag);
-        index.sync(&dag, csr.topo_order());
-        for v in 0..n as u32 {
-            prop_assert_eq!(csr.succs(v), mirror.succs(v));
-            prop_assert_eq!(csr.preds(v), mirror.preds(v));
-            for u in 0..n as u32 {
-                prop_assert_eq!(index.query(v, u), reach::is_reachable(&mirror, v, u));
-            }
-        }
-        for w in csr.topo_order().windows(2) {
-            prop_assert!(csr.pos(w[0]) < csr.pos(w[1]));
-        }
+        check_closure_through_rollback(dag, ops)?;
     }
 
     /// Release times only ever push windows later, never earlier.
@@ -206,4 +142,171 @@ proptest! {
             prop_assert!(shifted.windows[v].min >= base.windows[v].min);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// [`incremental_cpm_equals_full_recompute`] on graphs whose worklist
+    /// bitset spans several words, with mutations anywhere in the graph.
+    #[test]
+    fn incremental_cpm_equals_full_recompute_across_words(
+        (dag, durs) in wide_dag(),
+        muts in proptest::collection::vec((0usize..200, 0usize..200, 0u64..1000), 1..25),
+    ) {
+        check_incremental_cpm(dag, durs, muts)?;
+    }
+
+    /// [`csr_and_closure_match_adjacency_dfs_through_rollback`] on graphs
+    /// whose closure rows span several words.
+    #[test]
+    fn csr_and_closure_match_adjacency_dfs_through_rollback_across_words(
+        (dag, _durs) in wide_dag(),
+        ops in proptest::collection::vec((0usize..200, 0usize..200, 0u8..8), 1..30),
+    ) {
+        check_closure_through_rollback(dag, ops)?;
+    }
+
+    /// Growing a current closure node by node through
+    /// `ReachIndex::add_node` and `ReachIndex::add_edge` keeps it current
+    /// and exact across the re-strides at 64 and 128 nodes: at 63, 64, 65,
+    /// 127, 128 and 129 nodes every query agrees with the DFS oracle and
+    /// every row iterates exactly the node's descendants, in order.
+    #[test]
+    fn closure_grows_node_by_node_across_words(
+        (dag, _durs) in random_dag_of(40..63),
+        deps in proptest::collection::vec(proptest::collection::vec(0usize..200, 0..4), 70),
+    ) {
+        let mut dag = dag;
+        let mut index = ReachIndex::new();
+        index.sync(&dag, &dag.topo_order());
+        for node_deps in deps {
+            let v = index.add_node(&mut dag);
+            prop_assert!(index.is_current(&dag));
+            for d in node_deps {
+                let d = (d % v as usize) as u32;
+                index.add_edge(&mut dag, d, v).unwrap();
+            }
+            if [63, 64, 65, 127, 128, 129].contains(&dag.len()) {
+                let n = dag.len() as u32;
+                for a in 0..n {
+                    for b in 0..n {
+                        prop_assert_eq!(
+                            index.query(a, b),
+                            reach::is_reachable(&dag, a, b),
+                            "query({}, {}) at {} nodes", a, b, n
+                        );
+                    }
+                    prop_assert_eq!(
+                        index.descendants(a).collect::<Vec<_>>(),
+                        reach::descendants(&dag, a),
+                        "row {} at {} nodes", a, n
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Body of the incremental-CPM properties: applies `muts` (an arc
+/// insertion when `a != b` and `d` is even, else `durs[a] = d`) and
+/// compares against a full run after each.
+fn check_incremental_cpm(
+    mut dag: Dag,
+    mut durs: Vec<Time>,
+    muts: Vec<(usize, usize, Time)>,
+) -> Result<(), TestCaseError> {
+    let n = dag.len();
+    let mut scratch = CpmScratch::default();
+    let mut cpm = CpmAnalysis::default();
+    cpm.recompute(&dag, &durs, None, &mut scratch);
+    for (step, (a, b, d)) in muts.into_iter().enumerate() {
+        let (a, b) = (a % n, b % n);
+        if a != b && d % 2 == 0 {
+            // Arc insertion (skipped when it would close a cycle —
+            // matching how the schedulers probe before inserting).
+            let (lo, hi) = ((a.min(b)) as u32, (a.max(b)) as u32);
+            dag.add_edge(lo, hi).unwrap();
+            cpm.apply_arc(&dag, &durs, lo, hi, &mut scratch);
+        } else {
+            durs[a] = d;
+            cpm.apply_duration(&dag, &durs, a as u32, &mut scratch);
+        }
+        prop_assert_eq!(&cpm, &CpmAnalysis::run(&dag, &durs), "step {}", step);
+    }
+    Ok(())
+}
+
+/// Body of the closure-through-rollback properties: `ops` are
+/// `(a, b, kind)` with kinds 0..=3 an edge insertion, 4 a checkpoint, 5 a
+/// rollback and 6..=7 a re-sync.
+fn check_closure_through_rollback(
+    dag0: Dag,
+    ops: Vec<(usize, usize, u8)>,
+) -> Result<(), TestCaseError> {
+    let mut dag = dag0.clone(); // driven through ReachIndex::add_edge
+    let mut mirror = dag0; // plain adjacency + DFS oracle
+    let n = dag.len();
+    let mut csr = CsrView::new();
+    csr.build(&dag);
+    let mut index = ReachIndex::new();
+    index.sync(&dag, csr.topo_order());
+    let mut marks = Vec::new();
+    for (a, b, kind) in ops {
+        let (a, b) = ((a % n) as u32, (b % n) as u32);
+        match kind {
+            // Edge insertion: through the maintained closure when it is
+            // current (the schedulers' fast path), plain otherwise.
+            0..=3 => {
+                let fast = if index.is_current(&dag) {
+                    index.add_edge(&mut dag, a, b)
+                } else {
+                    dag.add_edge(a, b)
+                };
+                let oracle = mirror.add_edge(a, b);
+                prop_assert_eq!(fast.is_ok(), oracle.is_ok());
+            }
+            // Journal mark / rollback (LIFO, as the schedulers nest them).
+            4 => marks.push((dag.checkpoint(), mirror.checkpoint())),
+            5 => {
+                if let Some((cd, cm)) = marks.pop() {
+                    dag.rollback(cd);
+                    mirror.rollback(cm);
+                }
+            }
+            // Re-sync, as `SchedState::from_workspace` does per run.
+            _ => {
+                csr.build(&dag);
+                index.sync(&dag, csr.topo_order());
+            }
+        }
+        // Both graphs evolved identically regardless of insertion path.
+        prop_assert_eq!(&dag, &mirror);
+        // A current closure answers exactly like the DFS for the mutated
+        // pair and a strided sample; a stale one must say so.
+        if index.is_current(&dag) {
+            for i in 0..16u32 {
+                let (u, v) = ((a + i) % n as u32, (b + i * 7) % n as u32);
+                prop_assert_eq!(index.query(u, v), reach::is_reachable(&dag, u, v));
+            }
+        }
+    }
+    // Final all-pairs sweep against a freshly synced closure and CSR.
+    csr.build(&dag);
+    index.sync(&dag, csr.topo_order());
+    for v in 0..n as u32 {
+        prop_assert_eq!(csr.succs(v), mirror.succs(v));
+        prop_assert_eq!(csr.preds(v), mirror.preds(v));
+        for u in 0..n as u32 {
+            prop_assert_eq!(index.query(v, u), reach::is_reachable(&mirror, v, u));
+        }
+        prop_assert_eq!(
+            index.descendants(v).collect::<Vec<_>>(),
+            reach::descendants(&mirror, v)
+        );
+    }
+    for w in csr.topo_order().windows(2) {
+        prop_assert!(csr.pos(w[0]) < csr.pos(w[1]));
+    }
+    Ok(())
 }
