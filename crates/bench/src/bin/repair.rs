@@ -11,7 +11,9 @@
 //! ```
 //!
 //! With `--check`, the run exits non-zero when any point's speedup drops
-//! more than the tolerance below the baseline file (CI's repair gate).
+//! more than the tolerance below the baseline file, or its per-event
+//! repair cost rises more than the tolerance above it (CI's repair
+//! gates).
 
 use prfpga_bench::{
     baseline_with_resolve_us, flag, measure_repair_row, repair_instance, rows_table, warmup_run,

@@ -353,6 +353,19 @@ mod tests {
                 Err((&["1000 tasks / 1 events: speedup"], &["10000"])),
             ),
             (
+                "a per-event repair cost rise fails",
+                REPAIR_GATES,
+                vec![
+                    one("1000 tasks / 1 events", "repair_us_per_event", 300.0),
+                    one("10000 tasks / 1 events", "repair_us_per_event", 2500.0),
+                ],
+                vec![
+                    one("1000 tasks / 1 events", "repair_us_per_event", 361.0),
+                    one("10000 tasks / 1 events", "repair_us_per_event", 2000.0),
+                ],
+                Err((&["1000 tasks / 1 events: repair_us_per_event"], &["10000"])),
+            ),
+            (
                 "a req/s drop fails",
                 SERVER_GATES,
                 vec![one("load", "req_per_sec", 150.0)],
@@ -418,7 +431,7 @@ mod tests {
 
     /// The committed baselines are in the writer's format, hold the rows
     /// CI's flags produce, pass their own gates and fail a copy with every
-    /// gated metric moved 2× the wrong way.
+    /// gated metric moved 2× the wrong way, naming each of them.
     #[test]
     fn committed_trajectories_gate_what_ci_runs() {
         let in_proc: &[(&str, f64)] = &[
@@ -480,8 +493,11 @@ mod tests {
                 }
             }
             let err = check_regression(&base, &worse, gates, 20.0).unwrap_err();
-            for key in gated {
-                assert!(err.contains(&format!("{key}: ")), "{study}: {err}");
+            for row in base.rows.iter().filter(|r| gated.contains(&r.key.as_str())) {
+                for gate in gates.iter().filter(|g| row.metric(g.metric).is_some()) {
+                    let named = format!("{}: {} ", row.key, gate.metric);
+                    assert!(err.contains(&named), "{study}: {err}");
+                }
             }
         }
     }

@@ -104,9 +104,10 @@ proptest! {
     }
 
     /// Incremental CPM maintenance equals a from-scratch run after every
-    /// mutation of a random interleaved sequence of arc insertions and
-    /// duration changes — the contract the schedulers' workspace-reuse
-    /// fast path rests on.
+    /// mutation of a random interleaved sequence of arc insertions (half
+    /// of them against the initial topological order) and duration
+    /// changes — the contract the schedulers' workspace-reuse fast path
+    /// rests on.
     #[test]
     fn incremental_cpm_equals_full_recompute(
         (dag, durs) in random_dag(),
@@ -210,7 +211,11 @@ proptest! {
 
 /// Body of the incremental-CPM properties: applies `muts` (an arc
 /// insertion when `a != b` and `d` is even, else `durs[a] = d`) and
-/// compares against a full run after each.
+/// compares windows, makespan and critical flags against a full run
+/// after each. The graphs' arcs all run from lower to higher id, so the
+/// initial Kahn order is the identity; an arc from the higher to the
+/// lower id (`d % 4 == 2`) runs against it, and exercises the order
+/// repair whenever the order still places its ends that way.
 fn check_incremental_cpm(
     mut dag: Dag,
     mut durs: Vec<Time>,
@@ -223,14 +228,17 @@ fn check_incremental_cpm(
     for (step, (a, b, d)) in muts.into_iter().enumerate() {
         let (a, b) = (a % n, b % n);
         if a != b && d % 2 == 0 {
-            // Arc insertion (skipped when it would close a cycle —
-            // matching how the schedulers probe before inserting).
             let (lo, hi) = ((a.min(b)) as u32, (a.max(b)) as u32);
-            dag.add_edge(lo, hi).unwrap();
-            cpm.apply_arc(&dag, &durs, lo, hi, &mut scratch);
+            let (from, to) = if d % 4 == 2 { (hi, lo) } else { (lo, hi) };
+            // Skipped when it would close a cycle, matching how the
+            // schedulers probe before inserting.
+            if dag.add_edge(from, to).is_err() {
+                continue;
+            }
+            cpm.apply_arc(&dag, &durs, from, to, &mut scratch);
         } else {
-            durs[a] = d;
-            cpm.apply_duration(&dag, &durs, a as u32, &mut scratch);
+            let old = std::mem::replace(&mut durs[a], d);
+            cpm.apply_duration(&dag, &durs, a as u32, old, &mut scratch);
         }
         prop_assert_eq!(&cpm, &CpmAnalysis::run(&dag, &durs), "step {}", step);
     }

@@ -44,7 +44,7 @@
 //! bounds every repaired makespan against a from-scratch re-solve.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use prfpga_dag::{CpmAnalysis, CpmScratch, Dag, NodeId, ReachIndex};
 use prfpga_model::{
@@ -176,19 +176,17 @@ pub struct RepairEngine {
     cpm: CpmAnalysis,
     scratch: CpmScratch,
     durations: Vec<Time>,
+    /// Finished (or cancelled) tasks: no further events may target them,
+    /// but until they retire they stay *retimeable*, floating with their
+    /// predecessors. See [`RepairEngine::collect_frontier`].
     finished: Vec<bool>,
-    /// Cancelled tasks are `finished` (no further events may target them)
-    /// but stay *retimeable*: their zero-width window is a scheduling
-    /// fiction, not an observation, so they keep floating with their
-    /// predecessors — which is what keeps their pending reconfiguration
-    /// correctly placed when an upstream task later moves.
-    cancelled: Vec<bool>,
     retired: Vec<bool>,
     /// Per-task lower bound on the start tick, inherited from retired
     /// predecessors (their arcs are gone; their ends persist here).
     release_floor: Vec<Time>,
-    /// Communication lag of each costed, non-colocated data edge.
-    lags: HashMap<(NodeId, NodeId), Time>,
+    /// Communication lag of each costed, non-colocated data edge, as
+    /// `(to, lag)` pairs listed under the edge's source task.
+    lags: Vec<Vec<(NodeId, Time)>>,
     /// Parallel to `schedule.reconfigurations`.
     recs: Vec<RecArc>,
     /// Task -> index of the reconfiguration that loads it (None for
@@ -293,10 +291,9 @@ impl RepairEngine {
             scratch: CpmScratch::default(),
             durations: Vec::new(),
             finished: vec![false; n],
-            cancelled: vec![false; n],
             retired: vec![false; n],
             release_floor: vec![0; n],
-            lags: HashMap::new(),
+            lags: Vec::new(),
             recs: Vec::new(),
             rec_of_task: Vec::new(),
             rec_after_task: Vec::new(),
@@ -420,7 +417,6 @@ impl RepairEngine {
         let outcome = self.retime(task, true)?;
         if cancel {
             self.finished[task.index()] = true;
-            self.cancelled[task.index()] = true;
             self.try_retire_from(task);
         }
         Ok(outcome)
@@ -469,7 +465,6 @@ impl RepairEngine {
         }
         self.durations.push(sw_time);
         self.finished.push(false);
-        self.cancelled.push(false);
         self.retired.push(false);
         self.release_floor.push(floor);
         self.rec_of_task.push(None);
@@ -485,13 +480,14 @@ impl RepairEngine {
             .unwrap_or(0)
             .max(floor);
         let cores = self.inst.architecture.num_processors.max(1);
-        // Each core's tail: the task of latest start, ties to the highest
-        // id (the last of `Schedule::tasks_on_core`), in one pass.
+        // Each core's tail: the last task of its sequence (see
+        // `core_sequence`), in one pass.
         let mut tails: Vec<Option<TaskId>> = vec![None; cores];
         for (i, a) in self.schedule.assignments.iter().enumerate() {
             if let Placement::Core(p) = a.placement {
                 if let Some(tail) = tails.get_mut(p) {
-                    if tail.is_none_or(|l| a.start >= self.schedule.assignments[l.index()].start) {
+                    let l = tail.map(|l| &self.schedule.assignments[l.index()]);
+                    if l.is_none_or(|l| (a.start, a.end) >= (l.start, l.end)) {
                         *tail = Some(TaskId(i as u32));
                     }
                 }
@@ -611,19 +607,32 @@ impl RepairEngine {
         if let Some(ri) = self.rec_of_task[ti] {
             self.schedule.reconfigurations[ri as usize].loads_impl = new_id;
         }
-        self.durations[ti] = new_dur;
-        self.cpm
-            .apply_duration(&self.dag, &self.durations, ti as NodeId, &mut self.scratch);
+        let old_dur = std::mem::replace(&mut self.durations[ti], new_dur);
+        self.cpm.apply_duration(
+            &self.dag,
+            &self.durations,
+            ti as NodeId,
+            old_dur,
+            &mut self.scratch,
+        );
         Ok(())
     }
 
     // --- Frontier re-timing. ---------------------------------------------
 
     /// Collects into `sc.frontier`, in ascending id order, the strict
-    /// descendants of `seed` among live, unfinished tasks (plus the seed
-    /// itself when `include_seed`), and marks them in `sc.in_f`. The
-    /// descendants are the seed's closure row when the closure is
-    /// current, a DFS otherwise.
+    /// descendants of `seed` among unretired tasks (plus the seed itself
+    /// when `include_seed` and it is unfinished), and marks them in
+    /// `sc.in_f`. The descendants are the seed's closure row when the
+    /// closure is current, a DFS otherwise.
+    ///
+    /// Finished descendants stay in: every arc among unretired tasks must
+    /// keep holding. While finishes arrive in plan order, a finished task
+    /// is never downstream of a live one, so this only moves cancelled
+    /// tasks' zero-width placeholders. A full re-solve re-plans finished
+    /// tasks too, and may put one behind a live task on a core or region;
+    /// that window is a plan, not an observation, and must follow its
+    /// predecessor.
     fn collect_frontier(&self, sc: &mut RetimeScratch, seed: TaskId, include_seed: bool) {
         let s = seed.index() as NodeId;
         if self.reach.is_current(&self.dag) {
@@ -647,13 +656,7 @@ impl RepairEngine {
             }
             sc.frontier.sort_unstable();
         }
-        // Finished windows are observations; retired nodes are gone.
-        // Cancelled windows are neither: zero-width placeholders that keep
-        // floating until retirement freezes them.
-        sc.frontier.retain(|&v| {
-            let v = v as usize;
-            !((self.finished[v] && !self.cancelled[v]) || self.retired[v])
-        });
+        sc.frontier.retain(|&v| !self.retired[v as usize]);
         if include_seed && !self.finished[seed.index()] {
             let at = sc.frontier.partition_point(|&v| v < s);
             sc.frontier.insert(at, s);
@@ -907,7 +910,10 @@ impl RepairEngine {
     }
 
     fn lag(&self, from: NodeId, to: NodeId) -> Time {
-        self.lags.get(&(from, to)).copied().unwrap_or(0)
+        self.lags
+            .get(from as usize)
+            .and_then(|l| l.iter().find(|&&(t, _)| t == to))
+            .map_or(0, |&(_, lag)| lag)
     }
 
     // --- Full re-solve fallback. -----------------------------------------
@@ -938,7 +944,6 @@ impl RepairEngine {
     fn rebuild_model(&mut self) -> Result<(), RepairError> {
         let n = self.inst.graph.len();
         self.finished.resize(n, false);
-        self.cancelled.resize(n, false);
         self.retired = vec![false; n];
         self.release_floor = vec![0; n];
         self.stats.retired_tasks = 0;
@@ -975,7 +980,7 @@ impl RepairEngine {
             region_seqs.push(seq);
         }
         for p in 0..self.inst.architecture.num_processors {
-            for pair in self.schedule.tasks_on_core(p).windows(2) {
+            for pair in self.core_sequence(p).windows(2) {
                 if !dag.has_edge(pair[0].index() as NodeId, pair[1].index() as NodeId) {
                     dag.add_edge(pair[0].index() as NodeId, pair[1].index() as NodeId)
                         .map_err(|_| chain_err("core", pair[0], pair[1]))?;
@@ -992,7 +997,10 @@ impl RepairEngine {
         // Communication lags of non-colocated data edges, plus the
         // platform's crossing latency when the endpoints' regions sit on
         // different fabrics — the same lag rule phase G applies.
-        self.lags.clear();
+        for l in &mut self.lags {
+            l.clear();
+        }
+        self.lags.resize_with(n, Vec::new);
         let crossing = self.inst.architecture.crossing_latency();
         for (from, to, cost) in self.inst.graph.edges_with_costs() {
             let pa = &self.schedule.assignments[from.index()].placement;
@@ -1011,8 +1019,13 @@ impl RepairEngine {
                 }
             }
             if lag > 0 {
-                self.lags
-                    .insert((from.index() as NodeId, to.index() as NodeId), lag);
+                // A repeated data edge overwrites the earlier lag.
+                let to = to.index() as NodeId;
+                let out = &mut self.lags[from.index()];
+                match out.iter_mut().find(|(t, _)| *t == to) {
+                    Some(slot) => slot.1 = lag,
+                    None => out.push((to, lag)),
+                }
             }
         }
 
@@ -1066,6 +1079,20 @@ impl RepairEngine {
             }
         }
         Ok(())
+    }
+
+    /// The tasks on core `p` in execution order: by start, then end, then
+    /// id. Ordering by end as well puts a zero-width task (cancelled, or
+    /// finished with its duration clamped to 0) before a task starting at
+    /// the same tick, so each chain arc holds in the schedule it was read
+    /// from.
+    fn core_sequence(&self, p: usize) -> Vec<TaskId> {
+        let mut seq = self.schedule.tasks_on_core(p);
+        seq.sort_by_key(|t| {
+            let a = &self.schedule.assignments[t.index()];
+            (a.start, a.end)
+        });
+        seq
     }
 
     // --- Retirement. ------------------------------------------------------

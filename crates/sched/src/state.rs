@@ -416,7 +416,7 @@ impl<'a> SchedState<'a> {
     fn windows_after_duration_change(&mut self, t: TaskId, old: Time) {
         if self.durations[t.index()] != old {
             self.cpm
-                .apply_duration(&self.dag, &self.durations, t.0, &mut self.cpm_scratch);
+                .apply_duration(&self.dag, &self.durations, t.0, old, &mut self.cpm_scratch);
         }
     }
 

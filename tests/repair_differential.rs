@@ -62,6 +62,37 @@ fn every_repair_step_validates() {
     }
 }
 
+/// Regression: a trace whose full re-solves re-plan finished tasks. The
+/// re-solve puts finished task 37 (its observed duration clamped to 0)
+/// on core 1 behind live task 14, and 14's late finish at event 29 must
+/// push 37 along instead of overlapping it. Same instance and trace as
+/// `prfpga generate --tasks 60 --seed 13` and `prfpga replay --events 60
+/// --seed 4` at the default cascade threshold.
+#[test]
+fn full_resolves_keep_replanned_finished_tasks_retimeable() {
+    let inst = TaskGraphGenerator::new(13).generate(
+        "cli_t60_s13",
+        &prfpga::gen::GraphConfig::standard(60),
+        Architecture::zedboard_pr(),
+    );
+    let schedule = PaScheduler::new(SchedulerConfig::default())
+        .schedule(&inst)
+        .expect("generated instances solve");
+    let trace = EventTraceGenerator::new(4).generate(&inst, &schedule, &EventConfig::standard(60));
+    let mut engine =
+        RepairEngine::new(inst, schedule, RepairConfig::default()).expect("clean baseline");
+    let mut resolves = 0;
+    for (i, ev) in trace.events.iter().enumerate() {
+        let out = engine
+            .apply(ev)
+            .unwrap_or_else(|e| panic!("event {i} ({ev:?}) refused: {e}"));
+        resolves += usize::from(out.full_resolve);
+        validate_schedule_sweep(engine.instance(), engine.schedule())
+            .unwrap_or_else(|e| panic!("invalid schedule after event {i} ({ev:?}): {e:?}"));
+    }
+    assert!(resolves > 0, "the trace exercises the full re-solve");
+}
+
 /// An on-time trace is a no-op: the repaired schedule is byte-identical
 /// to the committed baseline and no task ever moves.
 #[test]
@@ -229,7 +260,7 @@ fn repair_trace_digest_is_pinned() {
         }
     }
     assert_eq!(
-        hash, 3_541_218_240_897_130_509,
+        hash, 12_343_803_295_102_042_589,
         "repair outcomes or repaired schedules changed"
     );
 }
