@@ -140,17 +140,21 @@ impl EventTraceGenerator {
         config: &EventConfig,
     ) -> EventTrace {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut by_start: Vec<TaskId> =
-            (0..schedule.assignments.len() as u32).map(TaskId).collect();
-        by_start.sort_by_key(|t| (schedule.assignment(*t).start, t.index()));
+        // Committed-start order, ties by id; the pairs are distinct, so
+        // an unstable sort gives the one order.
+        let mut by_start: Vec<(Time, u32)> = schedule
+            .assignments
+            .iter()
+            .zip(0..)
+            .map(|(a, t)| (a.start, t))
+            .collect();
+        by_start.sort_unstable();
+        let task = |i: usize| TaskId(by_start[i].1);
 
         let n = by_start.len();
-        // `done[t]`: the trace already finished or cancelled task t. Every
-        // task before the cursor is done, so the live tasks are the
-        // `left` tasks of `by_start[next_finish..]` that are not.
-        let mut done = vec![false; n];
-        let mut left = n;
-        let mut next_finish = 0usize; // cursor into `by_start`
+        // The live tasks are `by_start[next_finish..end]`: finishes take
+        // them from the front, cancellations from the back.
+        let (mut next_finish, mut end) = (0usize, n);
         let mut known = n as u32; // committed tasks + arrivals so far
         let mut events = Vec::with_capacity(config.events);
 
@@ -174,22 +178,19 @@ impl EventTraceGenerator {
 
         while events.len() < config.events {
             let roll = rng.random_range(0u32..100);
-            let mut live = by_start[next_finish..]
-                .iter()
-                .copied()
-                .filter(|t| !done[t.index()]);
+            let live = next_finish < end;
 
             if roll < config.cancel_pct {
-                if let Some(t) = live.next_back() {
+                if live {
                     // Cancel from the tail of the walk: the task is least
                     // likely to gate work the trace still wants to finish.
-                    done[t.index()] = true;
-                    left -= 1;
-                    events.push(ScheduleEvent::Cancel { task: t });
+                    end -= 1;
+                    events.push(ScheduleEvent::Cancel { task: task(end) });
                     continue;
                 }
             } else if roll < config.cancel_pct + config.revise_pct {
-                if let Some(t) = live.nth(left / 2) {
+                if live {
+                    let t = task(next_finish + (end - next_finish) / 2);
                     let dur = schedule.assignment(t).duration();
                     events.push(ScheduleEvent::DurationRevised {
                         task: t,
@@ -217,14 +218,10 @@ impl EventTraceGenerator {
 
             // Default (and fallback when a category found no target):
             // finish the next live task of the walk.
-            while next_finish < n && done[by_start[next_finish].index()] {
-                next_finish += 1;
-            }
-            let Some(&t) = by_start.get(next_finish) else {
+            if !live {
                 break; // every committed task finished or cancelled
-            };
-            done[t.index()] = true;
-            left -= 1;
+            }
+            let t = task(next_finish);
             next_finish += 1;
             let a = schedule.assignment(t);
             let actual = a.start + jitter(&mut rng, a.duration(), config.jitter_pct);

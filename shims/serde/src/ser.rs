@@ -2,17 +2,18 @@
 //!
 //! One [`Serializer`] produces either compact JSON (`{"a":1}`) or
 //! serde_json's pretty form (2-space indent, `"key": value`, empty
-//! containers as `{}`/`[]`) straight into a `String`.
+//! containers as `{}`/`[]`) straight into a byte buffer, which only ever
+//! receives whole UTF-8 strings.
 //!
 //! [`Serialize`]: crate::Serialize
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 use crate::Serialize;
 
-/// Writes JSON text into a `String`.
+/// Writes JSON text into a byte buffer.
 pub struct Serializer {
-    out: String,
+    out: Vec<u8>,
     pretty: bool,
     depth: usize,
 }
@@ -26,7 +27,7 @@ impl Serializer {
     /// A writer of compact JSON.
     pub fn compact() -> Self {
         Serializer {
-            out: String::with_capacity(Self::INITIAL_CAPACITY),
+            out: Vec::with_capacity(Self::INITIAL_CAPACITY),
             pretty: false,
             depth: 0,
         }
@@ -48,44 +49,51 @@ impl Serializer {
     /// one per document kept.
     pub fn into_string(mut self) -> String {
         if self.out.capacity() <= Self::INITIAL_CAPACITY {
-            return self.out.as_str().to_owned();
+            self.out = self.out.as_slice().to_owned();
+        } else {
+            self.out.shrink_to_fit();
         }
-        self.out.shrink_to_fit();
-        self.out
+        String::from_utf8(self.out).expect("only whole strings are written")
     }
 
     /// Writes `null`.
     pub fn null(&mut self) {
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, b: bool) {
-        self.out.push_str(if b { "true" } else { "false" });
+        self.out
+            .extend_from_slice(if b { b"true" } else { b"false" });
     }
 
-    /// Writes an unsigned integer.
+    /// Writes an unsigned integer, two digits per division.
     pub fn u64(&mut self, n: u64) {
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
         let mut buf = [0u8; 20];
         let mut at = buf.len();
         let mut n = n;
-        loop {
-            at -= 1;
-            buf[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+        while n >= 10 {
+            let d = (n % 100) as usize * 2;
+            n /= 100;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&PAIRS[d..d + 2]);
         }
-        // Only ASCII digits were written.
-        self.out
-            .push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+        if n > 0 || at == buf.len() {
+            at -= 1;
+            buf[at] = b'0' + n as u8;
+        }
+        self.out.extend_from_slice(&buf[at..]);
     }
 
     /// Writes a signed integer.
     pub fn i64(&mut self, n: i64) {
         if n < 0 {
-            self.out.push('-');
+            self.out.push(b'-');
         }
         self.u64(n.unsigned_abs());
     }
@@ -105,7 +113,7 @@ impl Serializer {
     /// below U+0020.
     pub fn str(&mut self, s: &str) {
         let out = &mut self.out;
-        out.push('"');
+        out.push(b'"');
         let mut plain = 0;
         for (i, b) in s.bytes().enumerate() {
             let esc = match b {
@@ -119,31 +127,31 @@ impl Serializer {
                 0..=0x1f => "",
                 _ => continue,
             };
-            out.push_str(&s[plain..i]);
+            out.extend_from_slice(&s.as_bytes()[plain..i]);
             if esc.is_empty() {
                 let _ = write!(out, "\\u{b:04x}");
             } else {
-                out.push_str(esc);
+                out.extend_from_slice(esc.as_bytes());
             }
             plain = i + 1;
         }
-        out.push_str(&s[plain..]);
-        out.push('"');
+        out.extend_from_slice(&s.as_bytes()[plain..]);
+        out.push(b'"');
     }
 
     /// Starts an object; write its entries through the returned
     /// [`Compound`] and close it with [`Compound::end`].
     pub fn object(&mut self) -> Compound<'_> {
-        self.open('{', '}')
+        self.open(b'{', b'}')
     }
 
     /// Starts an array; write its elements through the returned
     /// [`Compound`] and close it with [`Compound::end`].
     pub fn array(&mut self) -> Compound<'_> {
-        self.open('[', ']')
+        self.open(b'[', b']')
     }
 
-    fn open(&mut self, open: char, close: char) -> Compound<'_> {
+    fn open(&mut self, open: u8, close: u8) -> Compound<'_> {
         self.out.push(open);
         self.depth += 1;
         Compound {
@@ -154,9 +162,9 @@ impl Serializer {
     }
 
     fn newline(&mut self) {
-        self.out.push('\n');
+        self.out.push(b'\n');
         for _ in 0..self.depth {
-            self.out.push_str("  ");
+            self.out.extend_from_slice(b"  ");
         }
     }
 }
@@ -164,7 +172,7 @@ impl Serializer {
 /// An object or array being written.
 pub struct Compound<'s> {
     ser: &'s mut Serializer,
-    close: char,
+    close: u8,
     empty: bool,
 }
 
@@ -180,7 +188,7 @@ impl Compound<'_> {
         self.ser.str(key);
         self.ser
             .out
-            .push_str(if self.ser.pretty { ": " } else { ":" });
+            .extend_from_slice(if self.ser.pretty { b": " } else { b":" });
         self.ser
     }
 
@@ -201,7 +209,7 @@ impl Compound<'_> {
 
     fn separate(&mut self) {
         if !std::mem::take(&mut self.empty) {
-            self.ser.out.push(',');
+            self.ser.out.push(b',');
         }
         if self.ser.pretty {
             self.ser.newline();
@@ -227,7 +235,7 @@ mod tests {
     fn integers_and_floats() {
         let mut s = Serializer::compact();
         let mut a = s.array();
-        for x in [0u64, 7, u64::MAX] {
+        for x in [0u64, 7, 10, 99, 100, 1000, 12_345, u64::MAX] {
             a.element(&x);
         }
         a.element(&i64::MIN);
@@ -237,7 +245,7 @@ mod tests {
         a.end();
         assert_eq!(
             s.into_string(),
-            "[0,7,18446744073709551615,-9223372036854775808,1.0,null,null]"
+            "[0,7,10,99,100,1000,12345,18446744073709551615,-9223372036854775808,1.0,null,null]"
         );
     }
 }
