@@ -3,7 +3,7 @@
 //! The paper's evaluation tops out at 100-task graphs; the ROADMAP's
 //! north star needs three orders of magnitude more. This study streams a
 //! deterministic corpus of large generated instances through the PA
-//! pipeline (CSR/bitset fast paths on), one PA-R end-to-end run per size,
+//! pipeline, one PA-R end-to-end run per size,
 //! and a DFS-vs-closure reachability microbenchmark, and writes the
 //! per-size throughput / phase-median / peak-RSS trajectory to JSON so
 //! cross-PR regressions are machine-checkable.

@@ -7,9 +7,9 @@
 //!
 //! The second half of this module is the *task-graph axis* study behind
 //! `BENCH_scaling.json` (the `scaling` binary): it streams generated
-//! 1k–100k-task instances through the PA pipeline with the CSR/bitset fast
-//! paths on, measures per-size throughput, phase-breakdown medians and
-//! peak RSS as [`Row`]s of a trajectory; its throughput and peak-RSS
+//! 1k–100k-task instances through the PA pipeline, measures per-size
+//! throughput, phase-breakdown medians and peak RSS as [`Row`]s of a
+//! trajectory; its throughput and peak-RSS
 //! gates make a regression against the committed baseline fail loudly
 //! instead of accumulating silently.
 
@@ -118,7 +118,7 @@ pub struct ScalingStudyConfig {
     pub instances: usize,
     /// PA-R iterations for the per-size end-to-end randomized run.
     pub par_iterations: usize,
-    /// Scheduler configuration (CSR fast paths on by default).
+    /// Scheduler configuration (PA's defaults unless overridden).
     pub sched: SchedulerConfig,
 }
 

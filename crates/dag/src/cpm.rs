@@ -8,7 +8,6 @@
 
 use prfpga_model::{Time, TimeWindow};
 
-use crate::csr::{CsrView, GraphRead};
 use crate::graph::{Dag, NodeId, TopoScratch};
 
 /// Reusable buffers for [`CpmAnalysis::recompute`] and the incremental
@@ -211,38 +210,7 @@ impl CpmAnalysis {
         scratch: &mut CpmScratch,
     ) {
         dag.topo_order_into(&mut scratch.topo, &mut scratch.order);
-        self.recompute_over(dag, durations, release, scratch);
-    }
-
-    /// [`CpmAnalysis::recompute`] over a current [`CsrView`]: the cached
-    /// topological order replaces the Kahn pass and the forward/backward
-    /// sweeps iterate the packed adjacency. Byte-identical results (the
-    /// view preserves per-node edge order and the cached order is the same
-    /// deterministic Kahn order), and the scratch is left in the same
-    /// state, so the incremental `apply_*` methods remain usable against
-    /// the underlying `Dag` afterwards.
-    pub fn recompute_csr(
-        &mut self,
-        csr: &CsrView,
-        durations: &[Time],
-        release: Option<&[Time]>,
-        scratch: &mut CpmScratch,
-    ) {
-        scratch.order.clear();
-        scratch.order.extend_from_slice(csr.topo_order());
-        self.recompute_over(csr, durations, release, scratch);
-    }
-
-    /// The CPM passes over any adjacency layout; `scratch.order` must
-    /// already hold the deterministic topological order.
-    fn recompute_over<G: GraphRead>(
-        &mut self,
-        graph: &G,
-        durations: &[Time],
-        release: Option<&[Time]>,
-        scratch: &mut CpmScratch,
-    ) {
-        let n = graph.num_nodes();
+        let n = dag.len();
         assert_eq!(durations.len(), n, "one duration per node required");
         if let Some(r) = release {
             assert_eq!(r.len(), n, "one release time per node required");
@@ -265,7 +233,7 @@ impl CpmAnalysis {
         t_min.resize(n, 0);
         for &v in order.iter() {
             let mut es = release.map_or(0, |r| r[v as usize]);
-            for &p in graph.preds_of(v) {
+            for &p in dag.preds(v) {
                 es = es.max(t_min[p as usize] + durations[p as usize]);
             }
             t_min[v as usize] = es;
@@ -277,7 +245,7 @@ impl CpmAnalysis {
         t_max.resize(n, makespan);
         for &v in order.iter().rev() {
             let mut lc = makespan;
-            for &s in graph.succs_of(v) {
+            for &s in dag.succs(v) {
                 lc = lc.min(t_max[s as usize] - durations[s as usize]);
             }
             t_max[v as usize] = lc;
@@ -658,27 +626,6 @@ mod tests {
                 CpmAnalysis::run_with_release(&dag, &dur, rel.as_deref())
             );
         }
-    }
-
-    #[test]
-    fn recompute_csr_matches_dag_recompute() {
-        use crate::csr::CsrView;
-        let (dag, dur) = diamond();
-        let mut csr = CsrView::new();
-        csr.build(&dag);
-        let mut scratch = CpmScratch::default();
-        let mut cpm = CpmAnalysis::default();
-        let release = [0, 10, 0, 0];
-        for rel in [None, Some(&release[..])] {
-            cpm.recompute_csr(&csr, &dur, rel, &mut scratch);
-            assert_eq!(cpm, CpmAnalysis::run_with_release(&dag, &dur, rel));
-        }
-        // The scratch is left valid for the incremental path on the Dag.
-        let mut dag = dag;
-        cpm.recompute_csr(&csr, &dur, None, &mut scratch);
-        dag.add_edge(1, 2).unwrap();
-        cpm.apply_arc(&dag, &dur, 1, 2, &mut scratch);
-        assert_eq!(cpm, CpmAnalysis::run(&dag, &dur));
     }
 
     #[test]

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 use prfpga_model::{TaskGraph, TaskId};
 
 /// Globally-unique structure-version source. Every mutation of any [`Dag`]
-/// draws a fresh value, so derived read-only structures ([`crate::CsrView`],
-/// [`crate::ReachIndex`]) can detect staleness by a single integer compare —
+/// draws a fresh value, so a derived read-only structure
+/// ([`crate::ReachIndex`]) can detect staleness by a single integer compare —
 /// soundly even across rollback/re-insert sequences that restore identical
 /// node and edge counts, and across distinct `Dag` instances.
 static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);

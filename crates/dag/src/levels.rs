@@ -6,7 +6,6 @@
 //! each level, and the resulting average/maximum parallelism — used by the
 //! generator's tests and by the experiment reports to characterize suites.
 
-use crate::csr::{CsrView, GraphRead};
 use crate::graph::{Dag, NodeId};
 
 /// Level decomposition of a DAG.
@@ -21,20 +20,9 @@ pub struct LevelProfile {
 impl LevelProfile {
     /// Computes the profile.
     pub fn new(dag: &Dag) -> LevelProfile {
-        Self::compute(dag, &dag.topo_order())
-    }
-
-    /// Computes the profile over a current [`CsrView`], reusing its cached
-    /// topological order instead of re-running Kahn's algorithm — the path
-    /// the scaling studies use to characterize 10k+-task instances.
-    pub fn from_csr(csr: &CsrView) -> LevelProfile {
-        Self::compute(csr, csr.topo_order())
-    }
-
-    fn compute<G: GraphRead>(graph: &G, topo: &[NodeId]) -> LevelProfile {
-        let mut level = vec![0u32; graph.num_nodes()];
-        for &v in topo {
-            for &s in graph.succs_of(v) {
+        let mut level = vec![0u32; dag.len()];
+        for v in dag.topo_order() {
+            for &s in dag.succs(v) {
                 level[s as usize] = level[s as usize].max(level[v as usize] + 1);
             }
         }
@@ -114,17 +102,6 @@ mod tests {
         d.add_edge(0, 2).unwrap();
         let p = LevelProfile::new(&d);
         assert_eq!(p.level, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn from_csr_matches_dag_profile() {
-        let mut d = Dag::with_nodes(6);
-        for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 5)] {
-            d.add_edge(a, b).unwrap();
-        }
-        let mut csr = CsrView::new();
-        csr.build(&d);
-        assert_eq!(LevelProfile::from_csr(&csr), LevelProfile::new(&d));
     }
 
     #[test]

@@ -16,21 +16,16 @@
 //!   set;
 //! * [`reach`] — reachability queries used to avoid creating cycles when
 //!   sequencing arcs are inserted: per-query DFS plus the cached bitset
-//!   closure [`ReachIndex`] for the schedulers' probe-heavy loops;
-//! * [`CsrView`] — a frozen struct-of-arrays snapshot of a [`Dag`] (packed
-//!   adjacency + cached topological order) for the read-mostly hot paths
-//!   at 10k–100k nodes.
+//!   closure [`ReachIndex`] for the schedulers' probe-heavy loops.
 
 #![warn(missing_docs)]
 
 pub mod cpm;
-pub mod csr;
 pub mod graph;
 pub mod levels;
 pub mod reach;
 
 pub use cpm::{CpmAnalysis, CpmScratch};
-pub use csr::{CsrView, GraphRead};
 pub use graph::{CycleError, Dag, DagCheckpoint, NodeId, TopoScratch};
 pub use levels::LevelProfile;
 pub use reach::ReachIndex;

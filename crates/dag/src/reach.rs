@@ -191,8 +191,8 @@ impl ReachIndex {
     }
 
     /// Rebuilds the closure from `dag` unless already current. `topo` must
-    /// be a topological order of `dag` (typically the cached
-    /// [`CsrView::topo_order`](crate::CsrView::topo_order)).
+    /// be a topological order of `dag` (the scheduler workspace passes the
+    /// base graph's [`Dag::topo_order`], taken once per base-graph rebuild).
     pub fn sync(&mut self, dag: &Dag, topo: &[NodeId]) {
         if self.is_current(dag) {
             return;

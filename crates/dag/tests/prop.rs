@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use prfpga_dag::{reach, CpmAnalysis, CpmScratch, CsrView, Dag, ReachIndex};
+use prfpga_dag::{reach, CpmAnalysis, CpmScratch, Dag, ReachIndex};
 use prfpga_model::Time;
 
 /// Strategy: a random DAG of 2..40 nodes, so every bitset over it fits in
@@ -116,14 +116,13 @@ proptest! {
         check_incremental_cpm(dag, durs, muts)?;
     }
 
-    /// The CSR + bitset-closure fast paths agree with the journaled
-    /// adjacency + DFS oracle under a random interleaving of edge
-    /// insertions, checkpoint marks, rollbacks, and re-syncs — the exact
-    /// life cycle the schedulers put the fast-graph structures through
-    /// (insert sequencing arcs, roll back a rejected placement, re-sync on
-    /// the next `from_workspace`).
+    /// The bitset closure agrees with the journaled adjacency + DFS oracle
+    /// under a random interleaving of edge insertions, checkpoint marks,
+    /// rollbacks, and re-syncs — the exact life cycle the schedulers put
+    /// the closure through (insert sequencing arcs, roll back a rejected
+    /// placement, re-sync on the next `from_workspace`).
     #[test]
-    fn csr_and_closure_match_adjacency_dfs_through_rollback(
+    fn closure_matches_adjacency_dfs_through_rollback(
         (dag, _durs) in random_dag(),
         ops in proptest::collection::vec((0usize..40, 0usize..40, 0u8..8), 1..30),
     ) {
@@ -158,10 +157,10 @@ proptest! {
         check_incremental_cpm(dag, durs, muts)?;
     }
 
-    /// [`csr_and_closure_match_adjacency_dfs_through_rollback`] on graphs
+    /// [`closure_matches_adjacency_dfs_through_rollback`] on graphs
     /// whose closure rows span several words.
     #[test]
-    fn csr_and_closure_match_adjacency_dfs_through_rollback_across_words(
+    fn closure_matches_adjacency_dfs_through_rollback_across_words(
         (dag, _durs) in wide_dag(),
         ops in proptest::collection::vec((0usize..200, 0usize..200, 0u8..8), 1..30),
     ) {
@@ -255,10 +254,8 @@ fn check_closure_through_rollback(
     let mut dag = dag0.clone(); // driven through ReachIndex::add_edge
     let mut mirror = dag0; // plain adjacency + DFS oracle
     let n = dag.len();
-    let mut csr = CsrView::new();
-    csr.build(&dag);
     let mut index = ReachIndex::new();
-    index.sync(&dag, csr.topo_order());
+    index.sync(&dag, &dag.topo_order());
     let mut marks = Vec::new();
     for (a, b, kind) in ops {
         let (a, b) = ((a % n) as u32, (b % n) as u32);
@@ -283,10 +280,7 @@ fn check_closure_through_rollback(
                 }
             }
             // Re-sync, as `SchedState::from_workspace` does per run.
-            _ => {
-                csr.build(&dag);
-                index.sync(&dag, csr.topo_order());
-            }
+            _ => index.sync(&dag, &dag.topo_order()),
         }
         // Both graphs evolved identically regardless of insertion path.
         prop_assert_eq!(&dag, &mirror);
@@ -299,12 +293,9 @@ fn check_closure_through_rollback(
             }
         }
     }
-    // Final all-pairs sweep against a freshly synced closure and CSR.
-    csr.build(&dag);
-    index.sync(&dag, csr.topo_order());
+    // Final all-pairs sweep against a freshly synced closure.
+    index.sync(&dag, &dag.topo_order());
     for v in 0..n as u32 {
-        prop_assert_eq!(csr.succs(v), mirror.succs(v));
-        prop_assert_eq!(csr.preds(v), mirror.preds(v));
         for u in 0..n as u32 {
             prop_assert_eq!(index.query(v, u), reach::is_reachable(&mirror, v, u));
         }
@@ -312,9 +303,6 @@ fn check_closure_through_rollback(
             index.descendants(v).collect::<Vec<_>>(),
             reach::descendants(&mirror, v)
         );
-    }
-    for w in csr.topo_order().windows(2) {
-        prop_assert!(csr.pos(w[0]) < csr.pos(w[1]));
     }
     Ok(())
 }

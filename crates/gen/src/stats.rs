@@ -5,7 +5,7 @@
 //! the corresponding descriptive statistics for any instance or suite so
 //! reports can characterize what the schedulers actually faced.
 
-use prfpga_dag::{CsrView, Dag, LevelProfile};
+use prfpga_dag::{Dag, LevelProfile};
 use prfpga_model::{ProblemInstance, Time};
 use serde::{Deserialize, Serialize};
 
@@ -39,12 +39,7 @@ pub struct InstanceStats {
 /// Computes [`InstanceStats`].
 pub fn instance_stats(inst: &ProblemInstance) -> InstanceStats {
     let dag = Dag::from_taskgraph(&inst.graph).expect("validated instance is acyclic");
-    // One CSR snapshot serves the level profile (and caches the topological
-    // order); at 10k+ tasks this keeps characterization O(V + E) with a
-    // single Kahn pass instead of one per consumer.
-    let mut csr = CsrView::new();
-    csr.build(&dag);
-    let profile = LevelProfile::from_csr(&csr);
+    let profile = LevelProfile::new(&dag);
 
     let mut sw_sum: u128 = 0;
     let mut sw_n = 0u64;

@@ -12,11 +12,10 @@ use prfpga_model::{
 
 use prfpga_model::ImplId;
 
-use crate::commit;
 use crate::config::{OrderingPolicy, SchedulerConfig};
 use crate::error::SchedError;
 use crate::metrics::MetricWeights;
-use crate::phases::{impl_select, partition, regions, sw_balance, sw_map};
+use crate::phases::{impl_select, partition, reconf, regions, sw_balance, sw_map};
 use crate::state::{SchedState, SchedWorkspace};
 use crate::trace::{Phase, PhaseTrace};
 
@@ -247,7 +246,7 @@ impl PaScheduler {
                 if let FloorplanOutcome::Feasible(rects) = outcome {
                     let t0 = Instant::now();
                     solve_software(&mut state, &self.config, &mut trace);
-                    let schedule = commit_in(state, ws, &self.config, &mut trace);
+                    let schedule = realize_in(state, ws, &self.config, &mut trace);
                     scheduling_time += t0.elapsed();
                     report_stats(&mut trace, ws);
                     return Ok(PaResult {
@@ -310,12 +309,11 @@ impl PaScheduler {
 /// and receives them back afterwards, so a loop threading one workspace
 /// through repeated calls is allocation-free in the steady state.
 ///
-/// Structured as solve-then-commit: [`solve_regions_in`] (phases A–C) and
-/// [`solve_software`] (D–F) are the pure decision core, with no timeline
-/// reservations; [`commit_in`] then applies phase G's timing realization
-/// as one journaled batch commit — the seam the online repair engine
-/// builds on. PA runs the same three steps with its floorplan query
-/// between the first two. Each step times its phases into `trace`.
+/// Three steps: [`solve_regions_in`] (phases A–C) and [`solve_software`]
+/// (D–F) decide, with no controller reservations; [`realize_in`] then runs
+/// phase G's timing realization. PA runs the same three steps with its
+/// floorplan query between the first two. Each step times its phases into
+/// `trace`.
 pub(crate) fn do_schedule_in(
     ws: &mut SchedWorkspace,
     inst: &ProblemInstance,
@@ -327,22 +325,22 @@ pub(crate) fn do_schedule_in(
 ) -> Schedule {
     let mut state = solve_regions_in(ws, inst, target, config, ordering, trace, memo);
     solve_software(&mut state, config, trace);
-    commit_in(state, ws, config, trace)
+    realize_in(state, ws, config, trace)
 }
 
 /// Phase G — reconfiguration scheduling / timing realization: the only
-/// point where decisions become timeline reservations (the commit). Hands
-/// `state`'s buffers back to `ws`.
-fn commit_in(
+/// point where decisions become controller reservations, on the
+/// workspace's recycled controller timeline. Hands `state`'s buffers back
+/// to `ws`.
+fn realize_in(
     state: SchedState<'_>,
     ws: &mut SchedWorkspace,
     config: &SchedulerConfig,
     trace: &mut PhaseTrace,
 ) -> Schedule {
-    let (schedule, edits) = trace.timed(Phase::Reconf, || {
-        commit::commit_batch(&state, config.module_reuse, &mut ws.reconf_timeline)
+    let schedule = trace.timed(Phase::Reconf, || {
+        reconf::realize_schedule_in(&state, config.module_reuse, &mut ws.reconf_timeline)
     });
-    trace.batch_committed(edits);
     trace.reconfigurations = schedule.reconfigurations.len();
     let (core, ctrl) = (state.timeline.stats(), ws.reconf_timeline.stats());
     trace.timeline_reservations = core.reservations + ctrl.reservations;
@@ -679,7 +677,6 @@ mod tests {
         for phase in [Phase::SwBalance, Phase::SwMap, Phase::Reconf] {
             assert_eq!(runs(phase), 1, "{}", phase.name());
         }
-        assert_eq!(r.trace.commits, 1);
     }
 }
 

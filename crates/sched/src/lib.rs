@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod commit;
 pub mod config;
 pub mod driver;
 pub mod error;

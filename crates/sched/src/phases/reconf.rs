@@ -39,24 +39,23 @@ struct PlannedRec {
 }
 
 /// Runs the timing realization and assembles the final [`Schedule`] on a
-/// throwaway controller timeline, through the same batch commit
-/// ([`crate::commit`]) the schedulers use with their recycled timeline.
+/// throwaway controller timeline.
 ///
 /// With `module_reuse` enabled (the paper's future-work extension),
 /// consecutive tasks of a region that share an implementation need no
 /// reconfiguration between them.
 pub fn realize_schedule(state: &SchedState<'_>, module_reuse: bool) -> Schedule {
-    crate::commit::commit_batch(state, module_reuse, &mut Timeline::new()).0
+    realize_schedule_in(state, module_reuse, &mut Timeline::new())
 }
 
-/// The timing-realization pass against an already-reset controller
-/// timeline. The commit layer calls this after opening a named journal
-/// checkpoint between the reset and the first reservation.
-pub(crate) fn realize_schedule_prepared(
+/// [`realize_schedule`] on a caller-owned controller timeline (the
+/// schedulers pass their workspace's), which it resets first.
+pub(crate) fn realize_schedule_in(
     state: &SchedState<'_>,
     module_reuse: bool,
     icap: &mut Timeline,
 ) -> Schedule {
+    icap.reset(0, 0, state.controller_lanes());
     let n = state.inst.graph.len();
 
     // Criticality of the fully-sequenced graph decides reconfiguration

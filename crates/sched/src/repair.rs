@@ -4,12 +4,11 @@
 //! offline. A deployed system then watches the plan meet reality: tasks
 //! finish early or late, estimates get revised, work is cancelled, new
 //! work arrives. Re-running the full pipeline per perturbation is wasteful
-//! — a single late finish usually moves only the tasks downstream of it —
-//! and that waste is exactly what the solve/commit seam exists to avoid:
-//! the [`RepairEngine`] re-times only the *invalidation frontier* of each
-//! event and re-commits the touched controller reservations through the
-//! timeline journal, falling back to a from-scratch re-solve only when the
-//! frontier would cascade across most of the live graph.
+//! — a single late finish usually moves only the tasks downstream of it.
+//! The [`RepairEngine`] re-times only the *invalidation frontier* of each
+//! event and re-places the frontier's controller reservations, falling
+//! back to a from-scratch re-solve only when the frontier would cascade
+//! across most of the live graph.
 //!
 //! ## Repair model
 //!
@@ -25,8 +24,7 @@
 //! 3. re-times the frontier with the same fixed-point rule as phase G
 //!    (every start is exactly the max of its predecessors' ends plus
 //!    communication lag), re-placing the frontier's reconfigurations into
-//!    controller-lane gaps between the untouched ones under a named
-//!    journal checkpoint;
+//!    controller-lane gaps between the untouched ones;
 //! 4. retires finished source tasks from the dependency DAG
 //!    ([`Dag::retire_node`]), folding their ends into per-successor
 //!    release floors so later repairs shrink with the remaining horizon.
@@ -90,8 +88,6 @@ pub struct RepairStats {
     pub moved_tasks: u64,
     /// Reconfigurations re-placed, summed over events.
     pub recs_replaced: u64,
-    /// Controller-journal edits covered by repair commits, summed.
-    pub commit_edits: u64,
     /// Events that crossed the cascade threshold into a full re-solve.
     pub full_resolves: u64,
     /// Tasks retired from the dependency DAG so far.
@@ -752,11 +748,10 @@ impl RepairEngine {
         // group that drains first (ties to the lowest lane): the greedy
         // interval packing of `pack_lanes`, which cannot fail on windows
         // that came from a k-lane-per-fabric schedule. Then place the
-        // frontier's into the remaining gaps under a journal checkpoint.
-        // Fabric `f` owns lanes `[f*k, f*k+k)`.
+        // frontier's into the remaining gaps. Fabric `f` owns lanes
+        // `[f*k, f*k+k)`.
         let k = self.inst.architecture.num_reconfig_controllers.max(1);
         let nf = self.inst.architecture.num_fabrics();
-        let mut edits = 0usize;
         if !sc.f_recs.is_empty() {
             self.icap.reset(0, 0, nf * k);
             let recs = &self.schedule.reconfigurations;
@@ -782,7 +777,6 @@ impl RepairEngine {
                         )
                     })?;
             }
-            self.icap.checkpoint(REPAIR_CHECKPOINT);
         }
 
         // Discrete-event pass, mirroring phase G: ready frontier tasks
@@ -869,13 +863,6 @@ impl RepairEngine {
             }
             unreachable!("frontier is descendant-closed and acyclic");
         }
-        if !sc.f_recs.is_empty() {
-            edits = self
-                .icap
-                .commit(REPAIR_CHECKPOINT)
-                .expect("checkpoint opened above");
-        }
-        self.stats.commit_edits += edits as u64;
 
         // Write the re-timed windows back.
         let mut moved = 0usize;
@@ -1125,9 +1112,6 @@ impl RepairEngine {
         }
     }
 }
-
-/// Name of the per-event repair commit window on the controller journal.
-pub const REPAIR_CHECKPOINT: &str = "repair";
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@ use std::borrow::Cow;
 use std::mem;
 
 use prfpga_dag::{
-    reach, CpmAnalysis, CpmScratch, CsrView, CycleError, Dag, DagCheckpoint, NodeId, ReachIndex,
+    reach, CpmAnalysis, CpmScratch, CycleError, Dag, DagCheckpoint, NodeId, ReachIndex,
 };
 use prfpga_model::{
     Device, ImplId, ProblemInstance, Region, ResourceVec, TaskId, Time, TimeWindow,
@@ -85,12 +85,9 @@ pub struct SchedWorkspace {
     /// (separate from the state's, because `realize_schedule` reads the
     /// state immutably while committing controller reservations).
     pub(crate) reconf_timeline: Timeline,
-    /// Frozen CSR snapshot of the base graph (fast graph path). When a run
-    /// rewinds the DAG to the base the view snapshotted, revalidation is a
-    /// version stamp ([`CsrView::assume_current`]) instead of a rebuild.
-    csr: CsrView,
-    /// True when `csr` snapshots the cached base graph.
-    csr_is_base: bool,
+    /// Topological order of the base graph, taken once per rebuild; every
+    /// run re-syncs the reachability closure along it.
+    base_topo: Vec<NodeId>,
     /// Bitset reachability closure recycled into the state's probe path.
     reach: ReachIndex,
     rebuilds: u64,
@@ -144,7 +141,7 @@ impl SchedWorkspace {
             };
             self.base_choice.clear();
             self.base_durations.clear();
-            self.csr_is_base = false;
+            self.base_topo = self.dag.topo_order();
             // Re-targeting at a new instance is the natural point to stop
             // pinning DFS scratch sized for the previous (possibly much
             // larger) graph.
@@ -225,8 +222,8 @@ impl<'a> SchedState<'a> {
 
     /// Builds the state out of `ws`'s buffers: the DAG rewinds to the
     /// cached base graph (or is rebuilt on first use / instance change),
-    /// the initial CPM pass runs over the workspace's frozen [`CsrView`]
-    /// of the base graph, the bitset reachability closure is synchronized
+    /// the initial CPM pass is restored from the workspace's cache or
+    /// recomputed, the bitset reachability closure is synchronized
     /// so in-run probes and sequencing-arc insertions are `O(1)` bit tests,
     /// and every table is cleared, not re-allocated. The buffers return to
     /// `ws` via [`SchedState::recycle`].
@@ -252,15 +249,6 @@ impl<'a> SchedState<'a> {
         let reused = ws.reset_graph(inst)?;
         let dag = mem::take(&mut ws.dag);
 
-        if reused && ws.csr_is_base {
-            // The rollback restored exactly the base content the view
-            // snapshotted; revalidation is a version stamp.
-            ws.csr.assume_current(&dag);
-        } else {
-            ws.csr.build(&dag);
-            ws.csr_is_base = true;
-        }
-
         let mut durations = mem::take(&mut ws.durations);
         durations.clear();
         durations.extend(impl_choice.iter().map(|&i| inst.impls.get(i).time));
@@ -275,7 +263,7 @@ impl<'a> SchedState<'a> {
             // order.
             cpm.clone_from(&ws.base_cpm);
         } else {
-            cpm.recompute_csr(&ws.csr, &durations, None, &mut cpm_scratch);
+            cpm.recompute(&dag, &durations, None, &mut cpm_scratch);
             ws.base_choice.clear();
             ws.base_choice.extend_from_slice(&impl_choice);
             ws.base_durations.clone_from(&durations);
@@ -287,7 +275,7 @@ impl<'a> SchedState<'a> {
             // Rebuild the closure for this run (the last run's sequencing
             // arcs invalidated it); beyond the memory ceiling the state
             // falls back to DFS probes automatically.
-            reach_index.sync(&dag, ws.csr.topo_order());
+            reach_index.sync(&dag, &ws.base_topo);
         }
 
         // Recycle last run's region task lists through the pool.

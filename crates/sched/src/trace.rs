@@ -155,12 +155,6 @@ pub struct PhaseTrace {
     /// Checkpoints that observed the fired deadline (nonzero exactly when
     /// the run was cut short and returned a degraded result).
     pub deadline_hits: u64,
-    /// Batch commits applied through the solve/commit seam, summed over
-    /// restarts. PA commits once per run: only the accepted attempt, or
-    /// the all-software fallback, reaches phase G.
-    pub commits: u64,
-    /// Controller-timeline journal edits covered by those commits, summed.
-    pub commit_edits: u64,
 }
 
 impl PhaseTrace {
@@ -232,12 +226,6 @@ impl PhaseTrace {
             "cancellation {} polls / {} deadline hits\n",
             self.cancel_polls, self.deadline_hits,
         ));
-        if self.commits > 0 {
-            out.push_str(&format!(
-                "commit {} batches / {} journal edits\n",
-                self.commits, self.commit_edits,
-            ));
-        }
         out
     }
 
@@ -259,13 +247,6 @@ impl PhaseTrace {
         let out = f();
         self.phase_finished(phase, t0.elapsed());
         out
-    }
-
-    /// Phase G applied one batch commit covering `edits` controller-timeline
-    /// journal edits. Unlike the structural counters, commits accumulate.
-    pub(crate) fn batch_committed(&mut self, edits: u64) {
-        self.commits += 1;
-        self.commit_edits += edits;
     }
 }
 
@@ -344,22 +325,5 @@ mod tests {
         ));
         assert!(table.contains("timeline 11 reservations / 24 gap queries"));
         assert!(table.contains("cancellation 55 polls / 2 deadline hits"));
-    }
-
-    #[test]
-    fn commit_counters_accumulate() {
-        let mut t = PhaseTrace::default();
-        t.batch_committed(3);
-        t.batch_committed(5);
-        assert_eq!((t.commits, t.commit_edits), (2, 8));
-        assert!(t
-            .render_table()
-            .contains("commit 2 batches / 8 journal edits"));
-    }
-
-    #[test]
-    fn commit_line_hidden_when_seam_unused() {
-        let t = PhaseTrace::default();
-        assert!(!t.render_table().contains("commit "));
     }
 }

@@ -252,32 +252,6 @@ impl Lane {
         }
         self.free_from = prev_free;
     }
-
-    /// Partial-suffix rollback: discards every reservation starting at or
-    /// after `t`, returning how many windows were removed. Windows that
-    /// straddle `t` (started strictly before it) are kept whole — they
-    /// model work already in flight at the cut.
-    ///
-    /// The availability clock is re-derived from the surviving windows:
-    /// their latest end (which can run past `t` when a straddling window
-    /// keeps the lane busy across the cut). Zero-length clock bumps are
-    /// not stored, so when the clock sits past every stored window it is
-    /// clamped to `min(free_from, t)` — bumps before the cut survive only
-    /// up to `t`, an over-approximation that never admits a
-    /// double-booking.
-    pub fn rollback_after(&mut self, t: Time) -> usize {
-        let bumped = self.free_from > self.windows.last().map_or(0, |w| w.max);
-        let cut = self.windows.partition_point(|w| w.min < t);
-        let removed = self.windows.len() - cut;
-        self.windows.truncate(cut);
-        let tail = self.windows.last().map_or(0, |w| w.max);
-        self.free_from = if bumped {
-            self.free_from.min(t).max(tail)
-        } else {
-            tail
-        };
-        removed
-    }
 }
 
 /// Per-[`Timeline`] usage counters, surfaced by the schedulers' tracing.
@@ -324,8 +298,6 @@ pub struct Timeline {
     regions: Vec<Lane>,
     controllers: Vec<Lane>,
     journal: Vec<JournalEntry>,
-    /// Named checkpoints, a strictly-nested stack over the journal.
-    checkpoints: Vec<(String, TimelineMark)>,
     /// Cleared lanes recycled from rollbacks/resets.
     spare: Vec<Lane>,
     reservations: u64,
@@ -368,7 +340,6 @@ impl Timeline {
             }
         }
         self.journal.clear();
-        self.checkpoints.clear();
         self.reservations = 0;
         self.gap_queries.set(0);
     }
@@ -451,21 +422,14 @@ impl Timeline {
         self.lane(id).earliest_fit(release, duration)
     }
 
-    /// The controller lane that drains first: `(index, free_from)` with
-    /// ties broken towards the lowest index. This is clock-style
-    /// arbitration — unlike [`Timeline::controller_first_fit`] it never
-    /// backfills a gap, which is the contract of the PA pipeline's phase G
-    /// event pass. Panics when no controller lane exists.
-    pub fn controller_next_free(&self) -> (usize, Time) {
-        self.controller_next_free_in(0, self.controllers.len())
-    }
-
-    /// [`Timeline::controller_next_free`] restricted to the `count`
-    /// controller lanes starting at `start` — the lane group owned by one
-    /// fabric of a multi-fabric platform (fabric `f` of a platform with `k`
-    /// controllers per fabric owns lanes `[f*k, f*k+k)`). Returns an
-    /// absolute lane index. With `start == 0` and `count` covering every
-    /// lane this is exactly the global query.
+    /// The controller lane that drains first among the `count` controller
+    /// lanes starting at `start` — the lane group owned by one fabric of a
+    /// multi-fabric platform (fabric `f` of a platform with `k` controllers
+    /// per fabric owns lanes `[f*k, f*k+k)`): `(index, free_from)` with an
+    /// absolute lane index, ties broken towards the lowest index. This is
+    /// clock-style arbitration — unlike [`Timeline::controller_first_fit`]
+    /// it never backfills a gap, which is the contract of the PA pipeline's
+    /// phase G event pass. Panics when the range holds no lane.
     pub fn controller_next_free_in(&self, start: usize, count: usize) -> (usize, Time) {
         self.gap_queries.set(self.gap_queries.get() + 1);
         self.controllers[start..start + count]
@@ -480,26 +444,13 @@ impl Timeline {
     /// `release`: the controller offering the earliest slot, ties broken
     /// towards the lowest index. Panics when no controller lane exists.
     pub fn controller_first_fit(&self, release: Time, duration: Time) -> (usize, Time) {
-        self.controller_first_fit_in(0, self.controllers.len(), release, duration)
-    }
-
-    /// [`Timeline::controller_first_fit`] restricted to the `count`
-    /// controller lanes starting at `start` (one fabric's lane group);
-    /// returns an absolute lane index.
-    pub fn controller_first_fit_in(
-        &self,
-        start: usize,
-        count: usize,
-        release: Time,
-        duration: Time,
-    ) -> (usize, Time) {
         self.gap_queries.set(self.gap_queries.get() + 1);
-        self.controllers[start..start + count]
+        self.controllers
             .iter()
             .enumerate()
-            .map(|(c, lane)| (start + c, lane.earliest_fit(release, duration)))
+            .map(|(c, lane)| (c, lane.earliest_fit(release, duration)))
             .min_by_key(|&(c, t)| (t, c))
-            .expect("at least one controller lane in range")
+            .expect("at least one controller lane")
     }
 
     /// Usage counters accumulated since the last [`Timeline::reset`].
@@ -546,71 +497,6 @@ impl Timeline {
                 spare.push(lane);
             }
         }
-        // Checkpoints taken after this point in the journal no longer
-        // describe reachable state.
-        self.checkpoints
-            .retain(|(_, m)| m.journal_len <= mark.journal_len);
-    }
-
-    /// Opens a named checkpoint over the current journal position. Names
-    /// form a stack: a later [`Timeline::rollback_to`] or
-    /// [`Timeline::commit`] addresses the **innermost** checkpoint with
-    /// that name. Returns the underlying mark for callers that also want
-    /// anonymous rollback.
-    pub fn checkpoint(&mut self, name: &str) -> TimelineMark {
-        let mark = self.mark();
-        self.checkpoints.push((name.to_string(), mark));
-        mark
-    }
-
-    /// Edits (successful reservations) journaled since the innermost
-    /// checkpoint named `name`, or `None` if no such checkpoint is open.
-    pub fn edits_since(&self, name: &str) -> Option<usize> {
-        self.checkpoints
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, m)| self.journal.len() - m.journal_len)
-    }
-
-    /// Rolls back to the innermost checkpoint named `name` (undoing every
-    /// reservation journaled since, closing lanes opened since, and
-    /// dropping that checkpoint plus any opened after it). Returns `false`
-    /// when no such checkpoint is open.
-    pub fn rollback_to(&mut self, name: &str) -> bool {
-        let Some(i) = self.checkpoints.iter().rposition(|(n, _)| n == name) else {
-            return false;
-        };
-        let (_, mark) = self.checkpoints[i];
-        self.rollback(mark);
-        self.checkpoints.truncate(i);
-        true
-    }
-
-    /// Commits the innermost checkpoint named `name`: the reservations
-    /// made since stay, and the checkpoint (plus any opened after it, now
-    /// subsumed) is closed. Returns the number of edits committed, or
-    /// `None` if no such checkpoint is open.
-    pub fn commit(&mut self, name: &str) -> Option<usize> {
-        let i = self.checkpoints.iter().rposition(|(n, _)| n == name)?;
-        let edits = self.journal.len() - self.checkpoints[i].1.journal_len;
-        self.checkpoints.truncate(i);
-        Some(edits)
-    }
-
-    /// Partial-suffix rollback on one lane: discards every reservation on
-    /// `id` starting at or after `t` (see [`Lane::rollback_after`]) and
-    /// returns how many windows were removed.
-    ///
-    /// This *cuts history*: removed windows may sit anywhere in the LIFO
-    /// journal, so the journal and every open checkpoint are cleared — the
-    /// timeline starts a fresh undo era. It is meant for the repair
-    /// engine's "invalidate the suffix, re-place it" flow, not for
-    /// interleaving with `mark`/`rollback` search.
-    pub fn rollback_after(&mut self, id: LaneId, t: Time) -> usize {
-        self.journal.clear();
-        self.checkpoints.clear();
-        self.group_mut(id.kind)[id.index].rollback_after(t)
     }
 }
 
@@ -699,35 +585,19 @@ mod tests {
     }
 
     #[test]
-    fn controller_next_free_is_clock_arbitration() {
-        let mut tl = Timeline::with_lanes(0, 0, 2);
-        tl.reserve(LaneId::controller(0), w(0, 10)).unwrap();
-        tl.reserve(LaneId::controller(0), w(20, 30)).unwrap();
-        // The gap on controller 0 is invisible to clock arbitration.
-        assert_eq!(tl.controller_next_free(), (1, 0));
-        tl.reserve(LaneId::controller(1), w(0, 40)).unwrap();
-        assert_eq!(tl.controller_next_free(), (0, 30));
-    }
-
-    #[test]
-    fn controller_range_queries_restrict_to_lane_group() {
+    fn controller_next_free_in_is_clock_arbitration_within_the_group() {
         // Two fabrics x two controllers: fabric 0 owns lanes 0-1, fabric 1
         // owns lanes 2-3.
         let mut tl = Timeline::with_lanes(0, 0, 4);
         tl.reserve(LaneId::controller(0), w(0, 10)).unwrap();
-        tl.reserve(LaneId::controller(1), w(0, 20)).unwrap();
+        tl.reserve(LaneId::controller(0), w(20, 30)).unwrap();
+        // The gap on controller 0 is invisible to clock arbitration.
+        assert_eq!(tl.controller_next_free_in(0, 2), (1, 0));
+        tl.reserve(LaneId::controller(1), w(0, 40)).unwrap();
+        assert_eq!(tl.controller_next_free_in(0, 2), (0, 30));
+        // Fabric 1 never sees fabric 0's lanes.
         tl.reserve(LaneId::controller(2), w(0, 5)).unwrap();
-        // The full-range variants equal the classic queries.
-        assert_eq!(tl.controller_next_free_in(0, 4), tl.controller_next_free());
-        assert_eq!(
-            tl.controller_first_fit_in(0, 4, 0, 5),
-            tl.controller_first_fit(0, 5)
-        );
-        // Fabric 0 never sees fabric 1's idle lanes.
-        assert_eq!(tl.controller_next_free_in(0, 2), (0, 10));
         assert_eq!(tl.controller_next_free_in(2, 2), (3, 0));
-        assert_eq!(tl.controller_first_fit_in(0, 2, 0, 5), (0, 10));
-        assert_eq!(tl.controller_first_fit_in(2, 2, 0, 5), (3, 0));
     }
 
     #[test]
@@ -822,95 +692,6 @@ mod tests {
         let packed = pack_lanes(&[w(20, 30), w(0, 10)], 2);
         assert_eq!(packed, vec![1, 0]);
         assert_eq!(pack_lanes(&[], 3), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn lane_rollback_after_truncates_the_suffix() {
-        let mut lane = Lane::new();
-        lane.reserve(w(0, 10)).unwrap();
-        lane.reserve(w(12, 20)).unwrap();
-        lane.reserve(w(25, 30)).unwrap();
-        // Cut at 12: the window starting exactly at the cut goes too.
-        assert_eq!(lane.rollback_after(12), 2);
-        assert_eq!(lane.windows(), &[w(0, 10)]);
-        assert_eq!(lane.free_from(), 10);
-        // Straddling windows survive whole and keep the lane busy.
-        let mut lane = Lane::new();
-        lane.reserve(w(0, 20)).unwrap();
-        lane.reserve(w(20, 30)).unwrap();
-        assert_eq!(lane.rollback_after(10), 1);
-        assert_eq!(lane.windows(), &[w(0, 20)]);
-        assert_eq!(lane.free_from(), 20);
-        // A clock bump past the cut is forgotten down to the cut.
-        let mut lane = Lane::new();
-        lane.reserve(w(0, 5)).unwrap();
-        lane.reserve(w(40, 40)).unwrap();
-        assert_eq!(lane.free_from(), 40);
-        assert_eq!(lane.rollback_after(10), 0);
-        assert_eq!(lane.free_from(), 10);
-        // Cutting past the drain is a no-op.
-        assert_eq!(lane.rollback_after(50), 0);
-        assert_eq!(lane.free_from(), 10);
-    }
-
-    #[test]
-    fn named_checkpoints_commit_and_rollback() {
-        let mut tl = Timeline::with_lanes(1, 0, 1);
-        tl.reserve(LaneId::core(0), w(0, 10)).unwrap();
-        tl.checkpoint("solve");
-        tl.reserve(LaneId::core(0), w(10, 20)).unwrap();
-        tl.checkpoint("trial");
-        tl.reserve(LaneId::core(0), w(20, 30)).unwrap();
-        assert_eq!(tl.edits_since("solve"), Some(2));
-        assert_eq!(tl.edits_since("trial"), Some(1));
-        assert!(tl.rollback_to("trial"));
-        assert_eq!(tl.lane(LaneId::core(0)).windows(), &[w(0, 10), w(10, 20)]);
-        assert_eq!(tl.edits_since("trial"), None);
-        // Committing keeps the reservations and closes the checkpoint.
-        assert_eq!(tl.commit("solve"), Some(1));
-        assert_eq!(tl.commit("solve"), None);
-        assert!(!tl.rollback_to("solve"));
-        assert_eq!(tl.lane(LaneId::core(0)).windows(), &[w(0, 10), w(10, 20)]);
-    }
-
-    #[test]
-    fn named_checkpoints_nest_and_anonymous_rollback_prunes_them() {
-        let mut tl = Timeline::with_lanes(1, 0, 0);
-        let outer = tl.mark();
-        tl.reserve(LaneId::core(0), w(0, 5)).unwrap();
-        tl.checkpoint("inner");
-        tl.reserve(LaneId::core(0), w(5, 9)).unwrap();
-        // Rolling back past a named checkpoint invalidates it.
-        tl.rollback(outer);
-        assert!(!tl.rollback_to("inner"));
-        assert!(tl.lane(LaneId::core(0)).is_empty());
-        // Shadowing: two checkpoints with one name, innermost wins.
-        tl.checkpoint("c");
-        tl.reserve(LaneId::core(0), w(0, 5)).unwrap();
-        tl.checkpoint("c");
-        tl.reserve(LaneId::core(0), w(5, 9)).unwrap();
-        assert!(tl.rollback_to("c"));
-        assert_eq!(tl.lane(LaneId::core(0)).windows(), &[w(0, 5)]);
-        assert!(tl.rollback_to("c"));
-        assert!(tl.lane(LaneId::core(0)).is_empty());
-    }
-
-    #[test]
-    fn timeline_rollback_after_cuts_history() {
-        let mut tl = Timeline::with_lanes(2, 0, 0);
-        tl.reserve(LaneId::core(0), w(0, 10)).unwrap();
-        tl.reserve(LaneId::core(0), w(15, 25)).unwrap();
-        tl.reserve(LaneId::core(1), w(0, 8)).unwrap();
-        tl.checkpoint("stale");
-        assert_eq!(tl.rollback_after(LaneId::core(0), 12), 1);
-        assert_eq!(tl.lane(LaneId::core(0)).windows(), &[w(0, 10)]);
-        assert_eq!(tl.free_from(LaneId::core(0)), 10);
-        // The other lane is untouched; the undo era restarted.
-        assert_eq!(tl.lane(LaneId::core(1)).windows(), &[w(0, 8)]);
-        assert!(!tl.rollback_to("stale"));
-        // The freed suffix is reusable immediately.
-        tl.reserve(LaneId::core(0), w(10, 12)).unwrap();
-        assert_eq!(tl.free_from(LaneId::core(0)), 12);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! are whole-model clones. The kernel must agree with it verdict-for-
 //! verdict (which reservations are accepted) and value-for-value
 //! (`free_from`, `earliest_fit`) across random interleavings of reserve,
-//! gap-query, mark, rollback and partial-suffix `rollback_after`
-//! operations.
+//! gap-query, mark and rollback operations.
 
 use proptest::prelude::*;
 
@@ -32,23 +31,6 @@ impl NaiveLane {
         }
         self.free_from = self.free_from.max(w.max);
         true
-    }
-
-    /// Partial-suffix rollback, mirrored from the kernel's contract:
-    /// windows starting at or after `t` vanish; the clock is re-derived
-    /// from the survivors unless an unstored zero-length bump holds it
-    /// past every window, in which case it clamps to `min(free_from, t)`
-    /// (never below a straddling survivor's end).
-    fn rollback_after(&mut self, t: Time) {
-        let tail_before = self.windows.iter().map(|w| w.max).max().unwrap_or(0);
-        let bumped = self.free_from > tail_before;
-        self.windows.retain(|w| w.min < t);
-        let tail = self.windows.iter().map(|w| w.max).max().unwrap_or(0);
-        self.free_from = if bumped {
-            self.free_from.min(t).max(tail)
-        } else {
-            tail
-        };
     }
 
     /// Earliest start >= `release` for `duration`, by trying every start
@@ -93,14 +75,10 @@ enum Op {
     },
     Mark,
     Rollback,
-    RollbackAfter {
-        lane: usize,
-        t: Time,
-    },
 }
 
 fn ops() -> impl Strategy<Value = (usize, Vec<Op>)> {
-    let op = (0u8..9, 0usize..4, 0u64..120, 0u64..25).prop_map(|(tag, lane, a, b)| match tag {
+    let op = (0u8..8, 0usize..4, 0u64..120, 0u64..25).prop_map(|(tag, lane, a, b)| match tag {
         0..=3 => Op::Reserve {
             lane,
             start: a,
@@ -112,8 +90,7 @@ fn ops() -> impl Strategy<Value = (usize, Vec<Op>)> {
             dur: b,
         },
         6 => Op::Mark,
-        7 => Op::Rollback,
-        _ => Op::RollbackAfter { lane, t: a },
+        _ => Op::Rollback,
     });
     (1usize..5, proptest::collection::vec(op, 1..60))
 }
@@ -151,14 +128,6 @@ proptest! {
                         tl.rollback(mark);
                         naive = snapshot;
                     }
-                }
-                Op::RollbackAfter { lane, t } => {
-                    let lane = lane % lanes;
-                    tl.rollback_after(LaneId::controller(lane), t);
-                    naive[lane].rollback_after(t);
-                    // Partial-suffix rollback cuts history: outstanding
-                    // marks are invalidated on both sides.
-                    marks.clear();
                 }
             }
             // Full-state agreement after every operation.
