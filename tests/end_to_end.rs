@@ -72,17 +72,32 @@ fn heft_valid_on_suite() {
 #[test]
 fn asap_replay_never_beats_recorded_makespan_is_consistent() {
     // The ASAP re-execution of a schedule's decisions can only tighten idle
-    // gaps: replay makespan <= recorded makespan, for every scheduler.
+    // gaps: replay makespan <= recorded makespan, for every scheduler, and
+    // the schedule re-timed to the replay's starts is itself valid. The
+    // multi-fabric instances exercise crossing latencies on region-to-region
+    // edges and one controller group per fabric.
+    use prfpga::gen::GraphConfig;
+
     let pa = PaScheduler::new(SchedulerConfig::default());
     let isk = IsKScheduler::with_k(1);
     let heft = HeftScheduler::new();
-    for inst in mini_suite() {
+    let mut instances = mini_suite();
+    for platform in [Platform::alveo_u250(), Platform::dual_zedboard()] {
+        for seed in 0..4 {
+            instances.push(TaskGraphGenerator::new(seed).generate(
+                &format!("asap_{}_{seed}", platform.name),
+                &GraphConfig::standard(60),
+                Architecture::on_platform(2, platform.clone()),
+            ));
+        }
+    }
+    for inst in &instances {
         for s in [
-            pa.schedule(&inst).unwrap(),
-            isk.schedule(&inst).unwrap(),
-            heft.schedule(&inst).unwrap(),
+            pa.schedule(inst).unwrap(),
+            isk.schedule(inst).unwrap(),
+            heft.schedule(inst).unwrap(),
         ] {
-            let asap = execute_asap(&inst, &s).expect("consistent decisions");
+            let asap = execute_asap(inst, &s).expect("consistent decisions");
             assert!(
                 asap.makespan <= s.makespan(),
                 "ASAP replay must not be slower ({} > {}) on {}",
@@ -90,6 +105,18 @@ fn asap_replay_never_beats_recorded_makespan_is_consistent() {
                 s.makespan(),
                 inst.name
             );
+            let mut retimed = s.clone();
+            for (a, &start) in retimed.assignments.iter_mut().zip(&asap.task_starts) {
+                a.end = start + inst.impls.get(a.impl_id).time;
+                a.start = start;
+            }
+            for (r, &start) in retimed.reconfigurations.iter_mut().zip(&asap.reconf_starts) {
+                r.end = start + r.duration();
+                r.start = start;
+            }
+            validate_schedule_sweep(inst, &retimed)
+                .unwrap_or_else(|e| panic!("ASAP-retimed schedule invalid on {}: {e}", inst.name));
+            assert_eq!(retimed.makespan(), asap.makespan, "{}", inst.name);
         }
     }
 }
