@@ -351,33 +351,43 @@ fn check_capacity(instance: &ProblemInstance, schedule: &Schedule) -> Result<(),
     Ok(())
 }
 
-/// Precedence with optional communication costs for non-colocated pairs.
-/// Region-to-region edges whose endpoints land on different fabrics pay
-/// the platform's inter-fabric crossing latency on top of the edge cost
-/// (a single fabric never crosses).
+/// Precedence: every consumer starts no earlier than its producer's end
+/// plus the edge's [`edge_lag`].
 fn check_precedence(
     instance: &ProblemInstance,
     schedule: &Schedule,
 ) -> Result<(), ValidationError> {
-    let crossing = instance.architecture.crossing_latency();
     for (i, &(from, to)) in instance.graph.edges.iter().enumerate() {
-        let pa = schedule.assignment(from);
-        let sa = schedule.assignment(to);
-        let mut comm = if pa.placement.colocated(sa.placement) {
-            0
-        } else {
-            instance.graph.edge_cost(i)
-        };
-        if let (Placement::Region(ra), Placement::Region(rb)) = (pa.placement, sa.placement) {
-            if schedule.regions[ra.index()].fabric != schedule.regions[rb.index()].fabric {
-                comm += crossing;
-            }
-        }
-        if sa.start < pa.end + comm {
+        if schedule.assignment(to).start
+            < schedule.assignment(from).end + edge_lag(instance, schedule, i)
+        {
             return Err(ValidationError::PrecedenceViolated { from, to });
         }
     }
     Ok(())
+}
+
+/// Minimum gap between the end of edge `i`'s producer and the start of its
+/// consumer: the edge's communication cost when the two are not
+/// co-located, plus the platform's inter-fabric crossing latency when both
+/// run in regions on different fabrics (a single fabric never crosses).
+/// Shared by the validators and the ASAP replay, so they charge the same.
+pub(crate) fn edge_lag(instance: &ProblemInstance, schedule: &Schedule, i: usize) -> Time {
+    let (from, to) = instance.graph.edges[i];
+    let pa = schedule.assignment(from);
+    let sa = schedule.assignment(to);
+    let mut lag = if pa.placement.colocated(sa.placement) {
+        0
+    } else {
+        instance.graph.edge_cost(i)
+    };
+    if let (Placement::Region(ra), Placement::Region(rb)) = (pa.placement, sa.placement) {
+        let fabric = |r: RegionId| schedule.regions.get(r.index()).map_or(0, |rg| rg.fabric);
+        if fabric(ra) != fabric(rb) {
+            lag += instance.architecture.crossing_latency();
+        }
+    }
+    lag
 }
 
 /// Reconfiguration consistency: every reconfiguration names a real task,
