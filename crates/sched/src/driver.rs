@@ -342,9 +342,9 @@ fn realize_in(
         reconf::realize_schedule_in(&state, config.module_reuse, &mut ws.reconf_timeline)
     });
     trace.reconfigurations = schedule.reconfigurations.len();
-    let (core, ctrl) = (state.timeline.stats(), ws.reconf_timeline.stats());
-    trace.timeline_reservations = core.reservations + ctrl.reservations;
-    trace.timeline_gap_queries = core.gap_queries + ctrl.gap_queries;
+    let ctrl = ws.reconf_timeline.stats();
+    trace.timeline_reservations = ctrl.reservations;
+    trace.timeline_gap_queries = ctrl.gap_queries;
     state.recycle(ws);
     schedule
 }

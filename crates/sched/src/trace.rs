@@ -143,11 +143,11 @@ pub struct PhaseTrace {
     /// DFS nodes the cold floorplan solves used: placement attempts, see
     /// `prfpga_floorplan::NODE_BUDGET`.
     pub fp_nodes: u64,
-    /// Lane reservations committed by the last pipeline run's timeline
-    /// kernel (core occupancies plus controller windows).
+    /// Reconfiguration windows the last pipeline run's phase G reserved
+    /// on its controller timeline.
     pub timeline_reservations: u64,
-    /// Gap / arbitration queries the last pipeline run's timeline kernel
-    /// answered.
+    /// Gap / arbitration queries the last pipeline run's controller
+    /// timeline answered.
     pub timeline_gap_queries: u64,
     /// Cancellation checkpoints polled on the run's `CancelToken` (0 when
     /// the caller did not supply one).
