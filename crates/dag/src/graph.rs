@@ -219,10 +219,13 @@ impl Dag {
     }
 
     /// Journaled insertion of an edge the caller has proven acyclic and
-    /// non-duplicate. Shared by [`Dag::add_edge`] (after its DFS probe) and
-    /// the index-accelerated insertion of
-    /// [`ReachIndex::add_edge`](crate::ReachIndex::add_edge).
-    pub(crate) fn insert_edge_acyclic(&mut self, from: NodeId, to: NodeId) {
+    /// non-duplicate, with no probe of its own. Shared by [`Dag::add_edge`]
+    /// (after its DFS probe), the index-accelerated insertion of
+    /// [`ReachIndex::add_edge`](crate::ReachIndex::add_edge), and callers
+    /// that insert arcs pointing forward in a topological order they visit
+    /// the graph in.
+    pub fn insert_edge_acyclic(&mut self, from: NodeId, to: NodeId) {
+        debug_assert!(from != to && !self.has_edge(from, to));
         self.succs[from as usize].push(to);
         self.preds[to as usize].push(from);
         self.edge_count += 1;
