@@ -445,7 +445,11 @@ mod tests {
             (
                 "scaling",
                 SCALING_GATES,
-                vec![("1000 tasks", SERIAL), ("10000 tasks", SERIAL)],
+                vec![
+                    ("1000 tasks", SERIAL),
+                    ("10000 tasks", SERIAL),
+                    ("50000 tasks", SERIAL),
+                ],
             ),
             (
                 "repair",
