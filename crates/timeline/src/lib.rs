@@ -1,8 +1,8 @@
 //! # prfpga-timeline
 //!
 //! Typed lane-reservation kernel shared by every component that enforces
-//! time-exclusivity on a resource: the PA pipeline (core mapping in phase
-//! F, controller arbitration in phase G), the baseline schedulers'
+//! time-exclusivity on a resource: the PA pipeline (controller
+//! arbitration in phase G), the baseline schedulers'
 //! [`PartialSchedule`] bookkeeping, the simulator's ASAP executor and the
 //! sweep-line validator.
 //!
