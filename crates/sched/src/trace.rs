@@ -207,8 +207,9 @@ impl PhaseTrace {
             self.attempts, self.regions, self.hw_tasks, self.sw_tasks, self.reconfigurations,
         ));
         out.push_str(&format!(
-            "workspace reuses {} | floorplan cache {} hits / {} misses\n",
-            self.workspace_reuses, self.fp_cache_hits, self.fp_cache_misses,
+            "workspace reuses {} | floorplan queries {}\n",
+            self.workspace_reuses,
+            self.fp_cache_hits + self.fp_cache_misses,
         ));
         out.push_str(&format!(
             "floorplan verdicts {} feasible / {} infeasible ({} at root) / {} timeouts | {} DFS nodes\n",
@@ -319,7 +320,7 @@ mod tests {
             ..PhaseTrace::default()
         };
         let table = t.render_table();
-        assert!(table.contains("workspace reuses 5 | floorplan cache 12 hits / 4 misses"));
+        assert!(table.contains("workspace reuses 5 | floorplan queries 16"));
         assert!(table.contains(
             "floorplan verdicts 1 feasible / 2 infeasible (1 at root) / 1 timeouts | 28 DFS nodes"
         ));

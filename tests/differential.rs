@@ -433,7 +433,7 @@ fn pa_phase_trace_is_pinned() {
         t.phase_time = Default::default();
         hash = fnv1a(hash, t.render_table().as_bytes());
     }
-    assert_eq!(hash, 12_071_185_545_410_951_169, "PA's phase trace changed");
+    assert_eq!(hash, 13_992_892_486_658_382_652, "PA's phase trace changed");
 }
 
 /// Floorplanner limits under which the node budget alone stops a search:
