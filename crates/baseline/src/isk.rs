@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use prfpga_dag::{CpmAnalysis, Dag};
-use prfpga_floorplan::{FloorplanOutcome, Floorplanner, FloorplannerConfig};
+use prfpga_floorplan::{FloorplanOutcome, Floorplanner, FloorplannerConfig, QueryStats};
 use prfpga_model::{CancelToken, ProblemInstance, Schedule, TaskId, Time};
 use prfpga_sched::{SchedError, VirtualTarget};
 
@@ -130,7 +130,12 @@ impl IsKScheduler {
             }
             let (schedule, nodes) = self.run_windows(inst, &target, &order, cancel)?;
             nodes_total += nodes;
-            let outcome = planner.check(&inst.architecture, &schedule.regions, cancel);
+            let outcome = planner.check(
+                &inst.architecture,
+                &schedule.regions,
+                cancel,
+                &mut QueryStats::default(),
+            );
             if let FloorplanOutcome::Feasible(_) = outcome {
                 return Ok(IsKResult {
                     schedule,

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prfpga_dag::{CpmAnalysis, Dag};
-use prfpga_floorplan::{Floorplanner, FloorplannerConfig};
+use prfpga_floorplan::{Floorplanner, FloorplannerConfig, QueryStats};
 use prfpga_gen::{GraphConfig, TaskGraphGenerator};
 use prfpga_model::{Architecture, CancelToken, ResourceVec, Time};
 use prfpga_sched::metrics::MetricWeights;
@@ -53,6 +53,7 @@ fn phases(c: &mut Criterion) {
                 std::hint::black_box(&device),
                 std::hint::black_box(&demands),
                 &CancelToken::never(),
+                &mut QueryStats::default(),
             )
         })
     });

@@ -118,7 +118,6 @@ pub fn phase_trace_section(results: &SuiteResults) -> String {
             format!("{:.1}", mean(&vals))
         };
         row.push(counter_mean(|t| t.workspace_reuses));
-        row.push(counter_mean(|t| t.fp_cache_hits));
         row.push(counter_mean(|t| t.fp_cache_misses));
         row.push(counter_mean(|t| t.fp_feasible));
         row.push(counter_mean(|t| t.fp_infeasible));
@@ -137,8 +136,7 @@ pub fn phase_trace_section(results: &SuiteResults) -> String {
     headers.extend([
         "attempts",
         "ws reuses",
-        "fp hits",
-        "fp misses",
+        "floorplan queries",
         "fp feasible",
         "fp infeasible",
         "fp at root",

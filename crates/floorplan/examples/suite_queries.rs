@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use prfpga_floorplan::{
-    FeasibilityCache, FloorplanOutcome, Floorplanner, FloorplannerConfig, NODE_BUDGET,
+    FloorplanOutcome, Floorplanner, FloorplannerConfig, QueryStats, NODE_BUDGET,
 };
 use prfpga_model::{CancelToken, Device, ResourceVec};
 
@@ -55,12 +55,10 @@ fn main() {
                 ResourceVec::new(v[0], v[1], v[2])
             })
             .collect();
-        // A fresh cache per query: every query is one cold solve.
-        let cache = FeasibilityCache::new(planner.clone(), 1);
+        let mut stats = QueryStats::default();
         let start = Instant::now();
-        let outcome = cache.check_device(&device, &demands, &CancelToken::never());
+        let outcome = planner.check_device(&device, &demands, &CancelToken::never(), &mut stats);
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        let stats = cache.stats();
         let attempts = stats.nodes;
         let class = if stats.root_infeasible == 1 {
             0

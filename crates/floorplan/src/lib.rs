@@ -41,14 +41,12 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod candidates;
 mod occupancy;
 pub mod rect;
 pub mod render;
 pub mod solver;
 
-pub use cache::{CacheStats, FeasibilityCache, DEFAULT_CACHE_CAPACITY};
 pub use rect::Rect;
 pub use render::render_fabric;
-pub use solver::{FloorplanOutcome, Floorplanner, FloorplannerConfig, NODE_BUDGET};
+pub use solver::{FloorplanOutcome, Floorplanner, FloorplannerConfig, QueryStats, NODE_BUDGET};

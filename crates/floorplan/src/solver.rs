@@ -60,13 +60,13 @@ impl FloorplanOutcome {
 /// Exact feasibility floorplanner over a column-based fabric.
 ///
 /// ```
-/// use prfpga_floorplan::{FloorplanOutcome, Floorplanner};
+/// use prfpga_floorplan::{FloorplanOutcome, Floorplanner, QueryStats};
 /// use prfpga_model::{CancelToken, Device, ResourceVec};
 ///
 /// let planner = Floorplanner::default();
 /// let device = Device::xc7z020();
 /// let regions = vec![ResourceVec::new(600, 10, 20), ResourceVec::new(400, 0, 0)];
-/// match planner.check_device(&device, &regions, &CancelToken::never()) {
+/// match planner.check_device(&device, &regions, &CancelToken::never(), &mut QueryStats::default()) {
 ///     FloorplanOutcome::Feasible(rects) => {
 ///         assert_eq!(rects.len(), 2);
 ///         assert!(!rects[0].overlaps(&rects[1]));
@@ -88,11 +88,11 @@ impl Floorplanner {
     /// Answers the scheduler's question for a schedule's `regions` on
     /// `arch`: do they admit a disjoint placement? Each region places on
     /// its own fabric, each fabric solved independently on its own
-    /// geometry ([`check_device`]). Any infeasible fabric makes the whole
-    /// set infeasible, any timeout propagates, and witnesses are stitched
-    /// back into one rectangle per region (dropped when an occupied fabric
-    /// has no geometry). On one fabric this is [`check_device`] on that
-    /// fabric.
+    /// geometry ([`check_device`], one counted query per occupied fabric).
+    /// Any infeasible fabric makes the whole set infeasible, any timeout
+    /// propagates, and witnesses are stitched back into one rectangle per
+    /// region (dropped when an occupied fabric has no geometry). On one
+    /// fabric this is [`check_device`] on that fabric.
     ///
     /// [`check_device`]: Self::check_device
     pub fn check(
@@ -100,26 +100,66 @@ impl Floorplanner {
         arch: &Architecture,
         regions: &[Region],
         cancel: &CancelToken,
+        stats: &mut QueryStats,
     ) -> FloorplanOutcome {
-        check_with(arch, regions, |device, demands| {
-            self.check_device(device, demands, cancel)
-        })
+        let nf = arch.num_fabrics() as u32;
+        assert!(
+            regions.iter().all(|r| r.fabric < nf),
+            "region assigned to a fabric outside the platform"
+        );
+        let mut out = vec![Rect::new(0, 1, 0, 1); regions.len()];
+        let mut witnesses = true;
+        for f in 0..nf {
+            let idx: Vec<usize> = regions
+                .iter()
+                .enumerate()
+                .filter(|&(_, r)| r.fabric == f)
+                .map(|(i, _)| i)
+                .collect();
+            if idx.is_empty() {
+                continue;
+            }
+            let sub: Vec<ResourceVec> = idx.iter().map(|&i| regions[i].res).collect();
+            match self.check_device(arch.fabric(f as usize), &sub, cancel, stats) {
+                FloorplanOutcome::Feasible(rects) if rects.len() == idx.len() => {
+                    for (&i, r) in idx.iter().zip(rects) {
+                        out[i] = r;
+                    }
+                }
+                // A geometry-free fabric reports feasible with no witnesses.
+                FloorplanOutcome::Feasible(_) => witnesses = false,
+                FloorplanOutcome::Infeasible => return FloorplanOutcome::Infeasible,
+                FloorplanOutcome::Timeout => return FloorplanOutcome::Timeout,
+            }
+        }
+        if witnesses {
+            FloorplanOutcome::Feasible(out)
+        } else {
+            FloorplanOutcome::Feasible(vec![])
+        }
     }
 
     /// Do `demands` (one [`ResourceVec`] per reconfigurable region) admit
-    /// a disjoint placement on `device`?
+    /// a disjoint placement on `device`? The query's verdict and search
+    /// size are added to `stats`.
     ///
     /// A device without geometry information never constrains placement
     /// beyond the capacity checks the scheduler already performs, so it
-    /// reports `Feasible` with no witness rectangles.
+    /// reports `Feasible` with no witness rectangles, and `stats` does not
+    /// count the query.
     pub fn check_device(
         &self,
         device: &Device,
         demands: &[ResourceVec],
         cancel: &CancelToken,
+        stats: &mut QueryStats,
     ) -> FloorplanOutcome {
         match &device.geometry {
-            Some(geom) => self.solve(geom, demands, cancel),
+            Some(geom) => {
+                let solved = self.solve_counted(geom, demands, cancel);
+                stats.record(&solved);
+                solved.outcome
+            }
             None => FloorplanOutcome::Feasible(vec![]),
         }
     }
@@ -150,8 +190,8 @@ impl Floorplanner {
         self.solve_counted(geometry, demands, cancel).outcome
     }
 
-    /// [`Floorplanner::solve`], also reporting what
-    /// [`CacheStats`](crate::CacheStats) counts about the search.
+    /// [`Floorplanner::solve`], also reporting what [`QueryStats`] counts
+    /// about the search.
     pub(crate) fn solve_counted(
         &self,
         geometry: &FabricGeometry,
@@ -335,7 +375,7 @@ impl Floorplanner {
     }
 }
 
-/// A cold solve's outcome and what the cache counts about it.
+/// One solve's outcome and what [`QueryStats`] counts about it.
 pub(crate) struct Solved {
     pub(crate) outcome: FloorplanOutcome,
     /// An `Infeasible` proven from the candidate lists alone, before any
@@ -343,6 +383,60 @@ pub(crate) struct Solved {
     pub(crate) at_root: bool,
     /// Placement attempts made (0 when the root or a greedy pass decided).
     pub(crate) nodes: u64,
+}
+
+/// The verdict mix of a caller's floorplan queries, filled by
+/// [`Floorplanner::check`] and [`Floorplanner::check_device`]
+/// (`feasible + infeasible + timeouts == queries`). A query on a device
+/// without geometry is not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryStats {
+    /// Queries that ran the solver.
+    pub queries: u64,
+    /// Queries that found a placement.
+    pub feasible: u64,
+    /// Queries that proved no placement exists.
+    pub infeasible: u64,
+    /// The part of `infeasible` settled at the root by the column-segment
+    /// coverage bound, without any search.
+    pub root_infeasible: u64,
+    /// Queries that gave up undecided: the node budget ran out, or the
+    /// caller's token or the time limit fired.
+    pub timeouts: u64,
+    /// DFS nodes (placement attempts, see [`NODE_BUDGET`]) over all
+    /// queries.
+    pub nodes: u64,
+}
+
+impl QueryStats {
+    /// Counts one solve's outcome and search size.
+    fn record(&mut self, solved: &Solved) {
+        self.queries += 1;
+        match solved.outcome {
+            FloorplanOutcome::Feasible(_) => self.feasible += 1,
+            FloorplanOutcome::Infeasible => {
+                self.infeasible += 1;
+                self.root_infeasible += u64::from(solved.at_root);
+            }
+            FloorplanOutcome::Timeout => self.timeouts += 1,
+        }
+        self.nodes += solved.nodes;
+    }
+}
+
+impl std::ops::Add for QueryStats {
+    type Output = QueryStats;
+
+    fn add(self, rhs: QueryStats) -> QueryStats {
+        QueryStats {
+            queries: self.queries + rhs.queries,
+            feasible: self.feasible + rhs.feasible,
+            infeasible: self.infeasible + rhs.infeasible,
+            root_infeasible: self.root_infeasible + rhs.root_infeasible,
+            timeouts: self.timeouts + rhs.timeouts,
+            nodes: self.nodes + rhs.nodes,
+        }
+    }
 }
 
 /// True when some dimension of `need` exceeds `have`.
@@ -496,56 +590,6 @@ struct Slot {
     first: Rect,
     /// The fewest segments per kind any kept candidate covers.
     min_cover: Cover,
-}
-
-/// Per-fabric driver shared by [`Floorplanner::check`] and
-/// [`FeasibilityCache::check`](crate::FeasibilityCache::check): runs
-/// `check` once per occupied fabric over that fabric's demands (kept in
-/// region order) and stitches the witness rectangles back into one
-/// rectangle per region. Any `Infeasible` fabric makes the set infeasible;
-/// any `Timeout` propagates; witnesses are dropped (empty vector, matching
-/// the geometry-free device contract) as soon as one occupied fabric has
-/// no geometry.
-pub(crate) fn check_with(
-    arch: &Architecture,
-    regions: &[Region],
-    mut check: impl FnMut(&Device, &[ResourceVec]) -> FloorplanOutcome,
-) -> FloorplanOutcome {
-    let nf = arch.num_fabrics() as u32;
-    assert!(
-        regions.iter().all(|r| r.fabric < nf),
-        "region assigned to a fabric outside the platform"
-    );
-    let mut out = vec![Rect::new(0, 1, 0, 1); regions.len()];
-    let mut witnesses = true;
-    for f in 0..nf {
-        let idx: Vec<usize> = regions
-            .iter()
-            .enumerate()
-            .filter(|&(_, r)| r.fabric == f)
-            .map(|(i, _)| i)
-            .collect();
-        if idx.is_empty() {
-            continue;
-        }
-        let sub: Vec<ResourceVec> = idx.iter().map(|&i| regions[i].res).collect();
-        match check(arch.fabric(f as usize), &sub) {
-            FloorplanOutcome::Feasible(rects) if rects.len() == idx.len() => {
-                for (&i, r) in idx.iter().zip(rects) {
-                    out[i] = r;
-                }
-            }
-            // A geometry-free fabric reports feasible with no witnesses.
-            FloorplanOutcome::Feasible(_) => witnesses = false,
-            FloorplanOutcome::Infeasible => return FloorplanOutcome::Infeasible,
-            FloorplanOutcome::Timeout => return FloorplanOutcome::Timeout,
-        }
-    }
-    if witnesses {
-        FloorplanOutcome::Feasible(out)
-    } else {
-        FloorplanOutcome::Feasible(vec![])
-    }
 }
 
 /// Placement attempts one exact search may make before it gives up with
@@ -1081,10 +1125,46 @@ mod tests {
     }
 
     #[test]
-    fn check_device_without_geometry_is_feasible() {
+    fn check_device_without_geometry_is_feasible_and_uncounted() {
         let dev = Device::tiny_test(ResourceVec::new(10, 10, 10), 1);
-        let out = planner().check_device(&dev, &[ResourceVec::new(5, 5, 5)], &never());
+        let mut stats = QueryStats::default();
+        let out = planner().check_device(&dev, &[ResourceVec::new(5, 5, 5)], &never(), &mut stats);
         assert_eq!(out, FloorplanOutcome::Feasible(vec![]));
+        assert_eq!(stats, QueryStats::default());
+    }
+
+    #[test]
+    fn check_device_counts_each_verdict() {
+        // A 1-column, 1-row grid hosts one 1-CLB region but not two, and
+        // the root bound refutes the pair before any search.
+        let dev = Device {
+            geometry: Some(FabricGeometry {
+                columns: vec![FabricColumn::Clb],
+                rows: 1,
+            }),
+            ..Device::tiny_test(ResourceVec::new(1000, 100, 100), 10)
+        };
+        let one = ResourceVec::new(1, 0, 0);
+        let mut stats = QueryStats::default();
+        assert!(planner()
+            .check_device(&dev, &[one], &never(), &mut stats)
+            .is_feasible());
+        for _ in 0..2 {
+            assert_eq!(
+                planner().check_device(&dev, &[one, one], &never(), &mut stats),
+                FloorplanOutcome::Infeasible
+            );
+        }
+        assert_eq!(
+            stats,
+            QueryStats {
+                queries: 3,
+                feasible: 1,
+                infeasible: 2,
+                root_infeasible: 2,
+                ..QueryStats::default()
+            }
+        );
     }
 
     #[test]
@@ -1096,8 +1176,10 @@ mod tests {
             ResourceVec::new(900, 16, 0),
             ResourceVec::new(200, 0, 40),
         ];
-        let out = planner().check_device(&dev, &demands, &never());
+        let mut stats = QueryStats::default();
+        let out = planner().check_device(&dev, &demands, &never(), &mut stats);
         assert!(out.is_feasible(), "got {out:?}");
+        assert_eq!((stats.queries, stats.feasible), (1, 1));
         if let FloorplanOutcome::Feasible(rects) = out {
             for i in 0..rects.len() {
                 for j in (i + 1)..rects.len() {

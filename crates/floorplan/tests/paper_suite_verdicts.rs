@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use prfpga_floorplan::{
-    CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, FloorplannerConfig, NODE_BUDGET,
+    FloorplanOutcome, Floorplanner, FloorplannerConfig, QueryStats, NODE_BUDGET,
 };
 use prfpga_model::{CancelToken, Device, ResourceVec};
 
@@ -137,15 +137,19 @@ fn coverage_bound_settles_former_timeouts() {
     );
 }
 
-/// One cold solve of `demands` on the xc7z020 through a fresh cache, with
-/// the cache's counters for it.
+/// One query of `demands` on the xc7z020, with its counters.
 fn counted_solve(
     planner: &Floorplanner,
     demands: &[ResourceVec],
-) -> (FloorplanOutcome, CacheStats) {
-    let cache = FeasibilityCache::new(planner.clone(), 1);
-    let outcome = cache.check_device(&Device::xc7z020(), demands, &CancelToken::never());
-    (outcome, cache.stats())
+) -> (FloorplanOutcome, QueryStats) {
+    let mut stats = QueryStats::default();
+    let outcome = planner.check_device(
+        &Device::xc7z020(),
+        demands,
+        &CancelToken::never(),
+        &mut stats,
+    );
+    (outcome, stats)
 }
 
 /// Every decided verdict is reached within a quarter of the node budget,

@@ -1,20 +1,15 @@
 //! Property-based tests for the floorplanner: soundness of every witness
-//! placement, capacity, monotonicity and cache transparency. Exactness of
+//! placement, capacity and monotonicity. Exactness of
 //! the verdict against a brute-force oracle lives in `oracle.rs`.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use prfpga_floorplan::{
-    FeasibilityCache, FloorplanOutcome, Floorplanner, FloorplannerConfig, DEFAULT_CACHE_CAPACITY,
-};
+use prfpga_floorplan::{FloorplanOutcome, Floorplanner, FloorplannerConfig, QueryStats};
 use prfpga_model::{
     Architecture, CancelToken, Device, FabricColumn, FabricGeometry, Region, ResourceVec,
 };
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn planner() -> Floorplanner {
     Floorplanner::new(FloorplannerConfig {
@@ -94,56 +89,6 @@ proptest! {
         }
     }
 
-    /// The feasibility cache is transparent: its answer always carries the
-    /// same verdict as a cold planner solve — on the first (miss) query,
-    /// on a repeat (hit) query, and on any permutation of the demands —
-    /// including Infeasible verdicts, and every Feasible witness it hands
-    /// back is sound for the demand order actually asked.
-    #[test]
-    fn cache_verdicts_match_cold_solve(geom in arb_geometry(),
-        demands in arb_demands(), seed in 0u64..u64::MAX) {
-        let device = Device {
-            name: "prop".into(),
-            max_res: geom.total_resources(),
-            bits_per_unit: [1, 1, 1],
-            rec_freq: 1,
-            geometry: Some(geom.clone()),
-        };
-        let cold = planner().check_device(&device, &demands, &CancelToken::never());
-        // Timeouts never cache and do not occur at these sizes anyway.
-        prop_assume!(!matches!(cold, FloorplanOutcome::Timeout));
-
-        let sound = |rects: &[prfpga_floorplan::Rect], asked: &[ResourceVec]| {
-            rects.len() == asked.len()
-                && rects.iter().enumerate().all(|(i, r)| {
-                    asked[i].fits_in(&r.resources(&geom))
-                        && rects.iter().skip(i + 1).all(|r2| !r.overlaps(r2))
-                })
-        };
-
-        let cache = FeasibilityCache::new(planner(), DEFAULT_CACHE_CAPACITY);
-        for round in 0..2 {
-            let got = cache.check_device(&device, &demands, &CancelToken::never());
-            prop_assert_eq!(got.is_feasible(), cold.is_feasible(), "round {round}");
-            if let FloorplanOutcome::Feasible(rects) = &got {
-                prop_assert!(sound(rects, &demands), "round {round}: {rects:?}");
-            }
-        }
-        prop_assert_eq!(cache.stats().hits, 1);
-        prop_assert_eq!(cache.stats().misses, 1);
-
-        let mut shuffled = demands.clone();
-        shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-        let cold_shuffled = planner().check_device(&device, &shuffled, &CancelToken::never());
-        let got = cache.check_device(&device, &shuffled, &CancelToken::never());
-        prop_assert_eq!(got.is_feasible(), cold_shuffled.is_feasible());
-        if let FloorplanOutcome::Feasible(rects) = &got {
-            prop_assert!(sound(rects, &shuffled), "shuffled witness unsound: {rects:?}");
-        }
-        // Any permutation canonicalizes to the already-cached key.
-        prop_assert_eq!(cache.stats().misses, 1);
-    }
-
     /// Degeneracy: the architecture-level check on a single-device target
     /// is verdict- and witness-identical to the plain device solver on
     /// that device — the per-fabric grouping, sub-solving and witness
@@ -158,13 +103,19 @@ proptest! {
             rec_freq: 1,
             geometry: Some(geom.clone()),
         };
-        let via_device = planner().check_device(&device, &demands, &CancelToken::never());
+        let (mut device_stats, mut arch_stats) = (QueryStats::default(), QueryStats::default());
+        let via_device =
+            planner().check_device(&device, &demands, &CancelToken::never(), &mut device_stats);
         prop_assume!(!matches!(via_device, FloorplanOutcome::Timeout));
 
         let arch = Architecture::new(1, device);
         let regions: Vec<Region> = demands.iter().map(|&res| Region { res, fabric: 0 }).collect();
-        let via_arch = planner().check(&arch, &regions, &CancelToken::never());
+        let via_arch = planner().check(&arch, &regions, &CancelToken::never(), &mut arch_stats);
         prop_assert_eq!(via_arch, via_device);
+        // An empty region set occupies no fabric, so `check` asks nothing.
+        if !demands.is_empty() {
+            prop_assert_eq!(arch_stats, device_stats);
+        }
     }
 
     /// Single-region queries agree with the candidate enumeration: a lone

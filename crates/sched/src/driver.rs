@@ -3,9 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use prfpga_floorplan::{
-    FeasibilityCache, FloorplanOutcome, Floorplanner, Rect, DEFAULT_CACHE_CAPACITY,
-};
+use prfpga_floorplan::{FloorplanOutcome, Floorplanner, QueryStats, Rect};
 use prfpga_model::{
     Architecture, CancelToken, Device, Platform, ProblemInstance, ResourceVec, Schedule,
 };
@@ -177,13 +175,11 @@ impl PaScheduler {
         // call's share of the counters.
         let polls0 = cancel.polls();
         let hits0 = cancel.deadline_hits();
-        let cache = FeasibilityCache::new(self.planner.clone(), DEFAULT_CACHE_CAPACITY);
+        let mut fp = QueryStats::default();
 
-        let report_stats = |trace: &mut PhaseTrace, ws: &SchedWorkspace| {
-            let fp = cache.stats();
+        let report_stats = |trace: &mut PhaseTrace, ws: &SchedWorkspace, fp: &QueryStats| {
             trace.workspace_reuses = ws.reuses();
-            trace.fp_cache_hits = fp.hits;
-            trace.fp_cache_misses = fp.misses;
+            trace.fp_cache_misses = fp.queries;
             trace.fp_feasible = fp.feasible;
             trace.fp_infeasible = fp.infeasible;
             trace.fp_root_infeasible = fp.root_infeasible;
@@ -233,12 +229,11 @@ impl PaScheduler {
                     break 'search;
                 }
                 let t1 = Instant::now();
-                // Memoized feasibility: within one call only Infeasible
-                // verdicts can repeat (a Feasible one would have ended the
-                // loop), so any Feasible witness returned below comes from a
-                // cold solve. Each fabric's regions place against that
-                // fabric's own device.
-                let outcome = cache.check(&inst.architecture, &regions, cancel);
+                // Each fabric's regions place against that fabric's own
+                // device.
+                let outcome = self
+                    .planner
+                    .check(&inst.architecture, &regions, cancel, &mut fp);
                 let fp_elapsed = t1.elapsed();
                 floorplanning_time += fp_elapsed;
                 trace.phase_finished(Phase::Floorplan, fp_elapsed);
@@ -248,7 +243,7 @@ impl PaScheduler {
                     solve_software(&mut state, &self.config, &mut trace);
                     let schedule = realize_in(state, ws, &self.config, &mut trace);
                     scheduling_time += t0.elapsed();
-                    report_stats(&mut trace, ws);
+                    report_stats(&mut trace, ws, &fp);
                     return Ok(PaResult {
                         schedule,
                         scheduling_time,
@@ -290,7 +285,7 @@ impl PaScheduler {
         );
         scheduling_time += t0.elapsed();
         debug_assert!(schedule.regions.is_empty());
-        report_stats(&mut trace, ws);
+        report_stats(&mut trace, ws, &fp);
         Ok(PaResult {
             schedule,
             scheduling_time,
@@ -577,16 +572,15 @@ mod tests {
     }
 
     #[test]
-    fn floorplan_cache_hits_under_capacity_ratchet() {
+    fn one_floorplan_query_per_attempt_under_capacity_ratchet() {
         use prfpga_model::{
             Device, FabricColumn, FabricGeometry, ImplPool, Implementation, ResourceVec, TaskGraph,
         };
         // The geometry offers a single CLB column (50 CLB placeable), but
         // the schedulable capacity claims 200 CLB: 60-CLB regions pass
         // every capacity check yet can never be floorplanned. The restart
-        // ratchet therefore reproduces the same demand multiset across
-        // several attempts — exactly the repetition the memoization cache
-        // exists for.
+        // ratchet therefore asks the floorplanner on every attempt until
+        // the all-software fallback, which asks nothing.
         let mut device = Device::tiny_test(ResourceVec::new(200, 0, 0), 10);
         device.geometry = Some(FabricGeometry {
             columns: vec![FabricColumn::Clb],
@@ -612,14 +606,12 @@ mod tests {
             r.schedule.regions.is_empty(),
             "unplaceable regions end in the all-software fallback"
         );
-        assert!(
-            r.trace.fp_cache_hits > 0,
-            "repeated demand multisets must hit the cache (trace: {:?})",
-            r.trace
-        );
-        assert!(
-            r.trace.fp_cache_misses > 0,
-            "first query of each multiset is cold"
+        assert!(r.attempts > 2, "the ratchet retries (trace: {:?})", r.trace);
+        assert_eq!(r.trace.fp_cache_hits, 0);
+        assert_eq!(
+            r.trace.fp_cache_misses,
+            (r.attempts - 1) as u64,
+            "one query per attempt but the fallback"
         );
         assert_eq!(
             r.trace.workspace_reuses,

@@ -126,21 +126,24 @@ pub struct PhaseTrace {
     /// Pipeline runs that rewound a warm workspace instead of
     /// re-allocating (0 when only one run happened on a fresh workspace).
     pub workspace_reuses: u64,
-    /// Floorplan-feasibility queries answered from the memoization cache.
+    /// Always 0: PA asks the floorplanner directly, with no memo in front
+    /// of it. Kept only because the benchmark package reads it; ROADMAP
+    /// item 7 deletes it.
     pub fp_cache_hits: u64,
-    /// Floorplan-feasibility queries that required a cold solve.
+    /// Floorplan queries PA made, one per occupied fabric with geometry
+    /// per attempt (the name is kept for the benchmark package).
     pub fp_cache_misses: u64,
-    /// Cold floorplan solves that found a placement.
+    /// Floorplan queries that found a placement.
     pub fp_feasible: u64,
-    /// Cold floorplan solves that proved no placement exists.
+    /// Floorplan queries that proved no placement exists.
     pub fp_infeasible: u64,
     /// The part of `fp_infeasible` settled at the root by the
     /// column-segment coverage bound, without any search.
     pub fp_root_infeasible: u64,
-    /// Cold floorplan solves that gave up undecided: the node budget ran
-    /// out, or the token or the time limit fired.
+    /// Floorplan queries that gave up undecided: the node budget ran out,
+    /// or the token or the time limit fired.
     pub fp_timeouts: u64,
-    /// DFS nodes the cold floorplan solves used: placement attempts, see
+    /// DFS nodes the floorplan queries used: placement attempts, see
     /// `prfpga_floorplan::NODE_BUDGET`.
     pub fp_nodes: u64,
     /// Reconfiguration windows the last pipeline run's phase G reserved
@@ -208,8 +211,7 @@ impl PhaseTrace {
         ));
         out.push_str(&format!(
             "workspace reuses {} | floorplan queries {}\n",
-            self.workspace_reuses,
-            self.fp_cache_hits + self.fp_cache_misses,
+            self.workspace_reuses, self.fp_cache_misses,
         ));
         out.push_str(&format!(
             "floorplan verdicts {} feasible / {} infeasible ({} at root) / {} timeouts | {} DFS nodes\n",
@@ -306,7 +308,6 @@ mod tests {
     fn counter_lines_render() {
         let t = PhaseTrace {
             workspace_reuses: 5,
-            fp_cache_hits: 12,
             fp_cache_misses: 4,
             fp_feasible: 1,
             fp_infeasible: 2,
@@ -320,7 +321,7 @@ mod tests {
             ..PhaseTrace::default()
         };
         let table = t.render_table();
-        assert!(table.contains("workspace reuses 5 | floorplan queries 16"));
+        assert!(table.contains("workspace reuses 5 | floorplan queries 4"));
         assert!(table.contains(
             "floorplan verdicts 1 feasible / 2 infeasible (1 at root) / 1 timeouts | 28 DFS nodes"
         ));

@@ -382,6 +382,59 @@ fn pa_floorplan_census_is_pinned() {
     );
 }
 
+/// Every floorplan query ends in exactly one verdict: over the
+/// smoke-scale suite (10–100 tasks, 3 graphs per size) the verdict counts
+/// add up to the query count in PA's trace and in PA-R's sum over its
+/// workers, on one thread and on two.
+#[test]
+fn floorplan_verdicts_add_up_to_queries() {
+    let suite = SuiteConfig {
+        groups: (1..=10).map(|g| g * 10).collect(),
+        graphs_per_group: 3,
+        seed: 0x5EED_2016,
+    }
+    .generate(&Architecture::zedboard_pr());
+    let pa = PaScheduler::new(SchedulerConfig::default());
+    let par = PaRScheduler::new(SchedulerConfig {
+        max_iterations: 4,
+        time_budget: std::time::Duration::from_secs(120),
+        ..Default::default()
+    });
+    let (mut pa_queries, mut par_queries) = (0, [0; 2]);
+    for inst in suite.iter().flatten() {
+        let t = pa.schedule_detailed(inst).unwrap().trace;
+        assert_eq!(
+            t.fp_feasible + t.fp_infeasible + t.fp_timeouts,
+            t.fp_cache_misses,
+            "PA on {}",
+            inst.name
+        );
+        pa_queries += t.fp_cache_misses;
+        for (threads, total) in [1, 2].into_iter().zip(&mut par_queries) {
+            let fp = par
+                .schedule_with_cancel_in(
+                    inst,
+                    threads,
+                    &CancelToken::never(),
+                    &mut SchedWorkspace::new(),
+                )
+                .unwrap()
+                .fp_queries;
+            assert_eq!(
+                fp.feasible + fp.infeasible + fp.timeouts,
+                fp.queries,
+                "PA-R on {threads} thread(s) on {}",
+                inst.name
+            );
+            *total += fp.queries;
+        }
+    }
+    assert!(
+        pa_queries > 0 && par_queries.iter().all(|&q| q > 0),
+        "the suite asks the floorplanner"
+    );
+}
+
 /// Trace pin: one FNV-1a digest over every counter of PA's `PhaseTrace`
 /// (phase run counts included, wall-clock left out) on every paper-suite
 /// instance and on the 60-task Alveo U250 instance, where the fabric
