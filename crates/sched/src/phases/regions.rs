@@ -7,6 +7,7 @@
 //! non-critical pass. Tasks that cannot be hosted anywhere fall back to
 //! their fastest software implementation.
 
+use prfpga_dag::reach;
 use prfpga_model::{TaskId, TimeWindow};
 
 use crate::config::OrderingPolicy;
@@ -227,12 +228,12 @@ pub(crate) fn region_eligible(
     let pos = state.insertion_pos(s, w_t.min);
     if pos > 0 {
         let prev = region.tasks[pos - 1];
-        if state.reachable(t.0, prev.0) {
+        if reach::is_reachable(&state.dag, t.0, prev.0) {
             return None;
         }
     }
     if let Some(&next) = region.tasks.get(pos) {
-        if state.reachable(next.0, t.0) {
+        if reach::is_reachable(&state.dag, next.0, t.0) {
             return None;
         }
     }

@@ -11,6 +11,7 @@
 //! * some region can host it without window overlap (and without creating
 //!   a dependency cycle through the sequencing arcs).
 
+use prfpga_dag::reach;
 use prfpga_model::TaskId;
 
 use crate::state::SchedState;
@@ -119,12 +120,12 @@ fn hosting_compatible(
     let pos = state.insertion_pos(s, w_min);
     if pos > 0 {
         let prev = state.regions[s].tasks[pos - 1];
-        if state.reachable(t.0, prev.0) {
+        if reach::is_reachable(&state.dag, t.0, prev.0) {
             return false;
         }
     }
     if let Some(&next) = state.regions[s].tasks.get(pos) {
-        if state.reachable(next.0, t.0) {
+        if reach::is_reachable(&state.dag, next.0, t.0) {
             return false;
         }
     }

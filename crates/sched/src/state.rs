@@ -5,9 +5,7 @@
 use std::borrow::Cow;
 use std::mem;
 
-use prfpga_dag::{
-    reach, CpmAnalysis, CpmScratch, CycleError, Dag, DagCheckpoint, NodeId, ReachIndex,
-};
+use prfpga_dag::{reach, CpmAnalysis, CpmScratch, Dag, DagCheckpoint};
 use prfpga_model::{
     Device, ImplId, ProblemInstance, Region, ResourceVec, TaskId, Time, TimeWindow,
 };
@@ -86,11 +84,6 @@ pub struct SchedWorkspace {
     /// (held here, not in the state, because `realize_schedule` reads the
     /// state immutably while committing controller reservations).
     pub(crate) reconf_timeline: Timeline,
-    /// Topological order of the base graph, taken once per rebuild; every
-    /// run re-syncs the reachability closure along it.
-    base_topo: Vec<NodeId>,
-    /// Bitset reachability closure recycled into the state's probe path.
-    reach: ReachIndex,
     rebuilds: u64,
     reuses: u64,
 }
@@ -142,7 +135,6 @@ impl SchedWorkspace {
             };
             self.base_choice.clear();
             self.base_durations.clear();
-            self.base_topo = self.dag.topo_order();
             // Re-targeting at a new instance is the natural point to stop
             // pinning DFS scratch sized for the previous (possibly much
             // larger) graph.
@@ -195,8 +187,6 @@ pub struct SchedState<'a> {
     pub(crate) cpm_scratch: CpmScratch,
     /// Recycled region task lists, fed by the workspace.
     region_pool: Vec<Vec<TaskId>>,
-    /// Bitset reachability closure (see [`SchedState::reachable`]).
-    reach: ReachIndex,
 }
 
 impl<'a> SchedState<'a> {
@@ -222,9 +212,7 @@ impl<'a> SchedState<'a> {
     /// Builds the state out of `ws`'s buffers: the DAG rewinds to the
     /// cached base graph (or is rebuilt on first use / instance change),
     /// the initial CPM pass is restored from the workspace's cache or
-    /// recomputed, the bitset reachability closure is synchronized
-    /// so in-run probes and sequencing-arc insertions are `O(1)` bit tests,
-    /// and every table is cleared, not re-allocated. The buffers return to
+    /// recomputed, and every table is cleared, not re-allocated. The buffers return to
     /// `ws` via [`SchedState::recycle`].
     pub fn from_workspace(
         inst: &'a ProblemInstance,
@@ -269,14 +257,6 @@ impl<'a> SchedState<'a> {
             ws.base_cpm.clone_from(&cpm);
         }
 
-        let mut reach_index = mem::take(&mut ws.reach);
-        if ReachIndex::fits(n) {
-            // Rebuild the closure for this run (the last run's sequencing
-            // arcs invalidated it); beyond the memory ceiling the state
-            // falls back to DFS probes automatically.
-            reach_index.sync(&dag, &ws.base_topo);
-        }
-
         // Recycle last run's region task lists through the pool.
         let mut region_pool = mem::take(&mut ws.region_pool);
         let mut regions = mem::take(&mut ws.regions);
@@ -312,7 +292,6 @@ impl<'a> SchedState<'a> {
             sw_map: mem::take(&mut ws.sw_map),
             cpm_scratch,
             region_pool,
-            reach: reach_index,
         })
     }
 
@@ -331,30 +310,6 @@ impl<'a> SchedState<'a> {
         ws.fabric_of = self.fabric_of;
         ws.region_pool = self.region_pool;
         ws.sw_map = self.sw_map;
-        ws.reach = self.reach;
-    }
-
-    /// True when `to` is reachable from `from` in the dependency DAG: an
-    /// `O(1)` closure lookup while the closure is current, a DFS otherwise
-    /// (past the closure's memory ceiling, or after phase F let it go
-    /// stale). Identical verdicts either way.
-    #[inline]
-    pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        if self.reach.is_current(&self.dag) {
-            self.reach.query(from, to)
-        } else {
-            reach::is_reachable(&self.dag, from, to)
-        }
-    }
-
-    /// Inserts a sequencing arc, keeping the reachability closure current
-    /// while it is. Accept/reject behaviour is exactly [`Dag::add_edge`]'s.
-    pub(crate) fn insert_sequencing_arc(&mut self, u: NodeId, v: NodeId) -> Result<(), CycleError> {
-        if self.reach.is_current(&self.dag) {
-            self.reach.add_edge(&mut self.dag, u, v)
-        } else {
-            self.dag.add_edge(u, v)
-        }
     }
 
     /// Window of a task under the current CPM analysis.
@@ -437,13 +392,15 @@ impl<'a> SchedState<'a> {
         let next = tasks.get(pos + 1).copied();
         self.windows_after_duration_change(t, old);
         if let Some(p) = prev {
-            self.insert_sequencing_arc(p.0, t.0)
+            self.dag
+                .add_edge(p.0, t.0)
                 .expect("caller checked ordering consistency (prev)");
             self.cpm
                 .apply_arc(&self.dag, &self.durations, p.0, t.0, &mut self.cpm_scratch);
         }
         if let Some(nx) = next {
-            self.insert_sequencing_arc(t.0, nx.0)
+            self.dag
+                .add_edge(t.0, nx.0)
                 .expect("caller checked ordering consistency (next)");
             self.cpm
                 .apply_arc(&self.dag, &self.durations, t.0, nx.0, &mut self.cpm_scratch);
