@@ -17,10 +17,12 @@
 //!
 //! With `--check`, the run exits non-zero when any size's throughput
 //! drops more than the tolerance below the baseline file, or its peak RSS
-//! rises more than the tolerance above it (CI's scaling-smoke gate). A
-//! size row compares only with a baseline row taken with the same
-//! `--instances`, `--par-iters` and thread count, so a check against a
-//! baseline taken with other flags fails; the committed
+//! rises more than the tolerance above it (CI's scaling-smoke gate). Each
+//! instance's PA run is timed `SCALING_REPEATS` times and reports its
+//! median. A size row compares only with a baseline row taken with the
+//! same `--instances`, `--par-iters`, thread count and repeat count, so a
+//! check against a baseline taken with other flags or an older repeat
+//! count fails; the committed
 //! `BENCH_scaling.json` is taken with CI's flags (`--instances 1
 //! --par-iters 0 --serial`). Sizes run ascending so the monotonic `VmHWM`
 //! figure is attributable per size. The reach and partition probes are

@@ -184,34 +184,53 @@ pub fn warmup_run() {
     std::hint::black_box(r);
 }
 
+/// PA runs timed per instance. Each instance reports its median run: at
+/// 1k tasks one run takes a few ms, and the host's run-to-run spread is
+/// wider than the CI gate's 20%.
+pub const SCALING_REPEATS: usize = 5;
+
 /// Measures one size point, row `"<tasks> tasks"`: PA over every instance
-/// of the corpus (fanned out under `exec`), PA-R end-to-end on the first
-/// instance, every schedule revalidated with the sweep-line validator
-/// (the quadratic oracle is impractical at 50k+ tasks).
+/// of the corpus (fanned out under `exec`), [`SCALING_REPEATS`] timed runs
+/// per instance, PA-R end-to-end on the first instance, every schedule
+/// revalidated with the sweep-line validator (the quadratic oracle is
+/// impractical at 50k+ tasks).
 ///
-/// The setup is `instances`, `threads` (1 = serial) and `par_iterations`
-/// (0 = PA-R leg skipped): peak RSS grows with the instances run at once
-/// and with the PA-R leg. The metrics are `edges` of the first instance
-/// (corpus fingerprint), `sched_ms_median` (median PA wall-clock per
-/// instance), `tasks_per_sec` (total tasks over the *summed* per-instance
-/// PA wall-clock, so comparable across thread counts), `par_ms` (the PA-R
-/// leg), `peak_rss_kb` (`VmHWM` after this size, 0 when the platform does
-/// not expose it; monotonic per process, so sizes run ascending) and one
-/// `phase_ms/<phase>` median per pipeline phase.
+/// The setup is `instances`, `threads` (1 = serial), `par_iterations`
+/// (0 = PA-R leg skipped) and `repeats`: peak RSS grows with the instances
+/// run at once and with the PA-R leg. The metrics are `edges` of the first
+/// instance (corpus fingerprint), `sched_ms_median` (median over instances
+/// of each instance's median PA wall-clock), `tasks_per_sec` (total tasks
+/// over the *summed* per-instance median PA wall-clock, so comparable
+/// across thread counts), `par_ms` (the PA-R leg), `peak_rss_kb` (`VmHWM`
+/// after this size, 0 when the platform does not expose it; monotonic per
+/// process, so sizes run ascending) and one `phase_ms/<phase>` per
+/// pipeline phase (median over instances of each instance's median).
 pub fn measure_scaling_row(tasks: usize, config: &ScalingStudyConfig, exec: ExecPolicy) -> Row {
     let instances = scaling_instances(tasks, config.instances);
+    let pa = prfpga_sched::PaScheduler::new(config.sched.clone());
+    // Per instance: the median PA wall-clock and the median of each phase,
+    // in ms.
     let results = parallel_map(&instances, exec, |_, inst| {
-        let t0 = Instant::now();
-        let r = prfpga_sched::PaScheduler::new(config.sched.clone())
-            .schedule_detailed(inst)
-            .expect("validated instance");
-        let elapsed = t0.elapsed();
-        validate_schedule_sweep(inst, &r.schedule).expect("PA schedule validates");
-        (elapsed, r.trace)
+        let mut total = Vec::new();
+        let mut phases = vec![Vec::new(); Phase::COUNT];
+        for run in 0..SCALING_REPEATS {
+            let t0 = Instant::now();
+            let r = pa.schedule_detailed(inst).expect("validated instance");
+            total.push(t0.elapsed().as_secs_f64() * 1e3);
+            for (ms, &p) in phases.iter_mut().zip(&Phase::ALL) {
+                ms.push(r.trace.time(p).as_secs_f64() * 1e3);
+            }
+            // PA is deterministic: the first schedule stands for every run.
+            if run == 0 {
+                validate_schedule_sweep(inst, &r.schedule).expect("PA schedule validates");
+            }
+        }
+        let phases: Vec<f64> = phases.iter_mut().map(|ms| median(ms)).collect();
+        (median(&mut total), phases)
     });
 
-    let mut sched_ms: Vec<f64> = results.iter().map(|(e, _)| e.as_secs_f64() * 1e3).collect();
-    let total_secs: f64 = results.iter().map(|(e, _)| e.as_secs_f64()).sum();
+    let mut sched_ms: Vec<f64> = results.iter().map(|(ms, _)| *ms).collect();
+    let total_secs: f64 = sched_ms.iter().sum::<f64>() / 1e3;
 
     // PA-R end-to-end (bounded iterations, reproducible) on instance 0;
     // `par_iterations: 0` skips the leg (CI's trimmed smoke run).
@@ -237,6 +256,7 @@ pub fn measure_scaling_row(tasks: usize, config: &ScalingStudyConfig, exec: Exec
             ("instances", instances.len() as f64),
             ("threads", exec.threads() as f64),
             ("par_iterations", config.par_iterations as f64),
+            ("repeats", SCALING_REPEATS as f64),
         ],
         &[
             ("edges", instances[0].graph.edges.len() as f64),
@@ -250,10 +270,7 @@ pub fn measure_scaling_row(tasks: usize, config: &ScalingStudyConfig, exec: Exec
         ],
     );
     row.metrics.extend(Phase::ALL.iter().map(|&p| {
-        let mut ms: Vec<f64> = results
-            .iter()
-            .map(|(_, t)| t.time(p).as_secs_f64() * 1e3)
-            .collect();
+        let mut ms: Vec<f64> = results.iter().map(|(_, t)| t[p.index()]).collect();
         Metric {
             name: format!("phase_ms/{}", p.name()),
             value: median(&mut ms),

@@ -252,6 +252,7 @@ mod tests {
         ("instances", 1.0),
         ("threads", 1.0),
         ("par_iterations", 0.0),
+        ("repeats", 5.0),
     ];
 
     const THREE_ON_TWO: &[(&str, f64)] = &[
