@@ -337,7 +337,7 @@ pub fn reach_microbench(tasks: usize, queries: usize) -> Row {
     let inst = &scaling_instances(tasks, 1)[0];
     let dag = Dag::from_taskgraph(&inst.graph).expect("generated graphs are acyclic");
     let mut index = ReachIndex::new();
-    index.sync(&dag, &dag.topo_order());
+    index.sync(&dag);
 
     // Deterministic probe pairs (splitmix-style mix, no external RNG).
     let n = dag.len() as u64;

@@ -16,7 +16,7 @@
 //!   set;
 //! * [`reach`] — reachability queries used to avoid creating cycles when
 //!   sequencing arcs are inserted: per-query DFS plus the cached bitset
-//!   closure [`ReachIndex`] for the schedulers' probe-heavy loops.
+//!   closure [`ReachIndex`] for the repair engine's probe-heavy loops.
 
 #![warn(missing_docs)]
 

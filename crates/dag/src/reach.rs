@@ -1,5 +1,6 @@
 //! Reachability queries over a [`Dag`]: per-query DFS and a cached bitset
-//! transitive closure ([`ReachIndex`]) for the schedulers' hot probe loop.
+//! transitive closure ([`ReachIndex`]) for the repair engine's hot probe
+//! loop.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -190,15 +191,14 @@ impl ReachIndex {
         self.version != 0 && self.version == dag.version()
     }
 
-    /// Rebuilds the closure from `dag` unless already current. `topo` must
-    /// be a topological order of `dag` (the scheduler workspace passes the
-    /// base graph's [`Dag::topo_order`], taken once per base-graph rebuild).
-    pub fn sync(&mut self, dag: &Dag, topo: &[NodeId]) {
+    /// Rebuilds the closure from `dag` unless already current, in one
+    /// reverse sweep along [`Dag::topo_order`].
+    pub fn sync(&mut self, dag: &Dag) {
         if self.is_current(dag) {
             return;
         }
+        let topo = dag.topo_order();
         let n = dag.len();
-        debug_assert_eq!(topo.len(), n, "topo order must cover the graph");
         self.n = n;
         self.words = n.div_ceil(64);
         self.bits.clear();
@@ -462,7 +462,7 @@ mod tests {
             d.add_edge(a, b).unwrap();
         }
         let mut index = ReachIndex::new();
-        index.sync(&d, &d.topo_order());
+        index.sync(&d);
         assert!(index.is_current(&d));
         assert_index_matches_dfs(&index, &d);
     }
@@ -473,7 +473,7 @@ mod tests {
         d.add_edge(0, 1).unwrap();
         d.add_edge(2, 3).unwrap();
         let mut index = ReachIndex::new();
-        index.sync(&d, &d.topo_order());
+        index.sync(&d);
 
         // Accepted arc: closure patched incrementally, stays current.
         index.add_edge(&mut d, 1, 2).unwrap();
@@ -508,11 +508,11 @@ mod tests {
         let mut d = chain5();
         let cp = d.checkpoint();
         let mut index = ReachIndex::new();
-        index.sync(&d, &d.topo_order());
+        index.sync(&d);
         index.add_edge(&mut d, 0, 4).unwrap();
         d.rollback(cp);
         assert!(!index.is_current(&d), "rollback invalidates the closure");
-        index.sync(&d, &d.topo_order());
+        index.sync(&d);
         assert!(index.is_current(&d));
         assert_index_matches_dfs(&index, &d);
     }
@@ -524,7 +524,7 @@ mod tests {
             d.add_edge(a, b).unwrap();
         }
         let mut index = ReachIndex::new();
-        index.sync(&d, &d.topo_order());
+        index.sync(&d);
 
         // Retire in a finish order (sources first); after each step the
         // closure must still agree with the DFS oracle on the mutated
@@ -551,7 +551,7 @@ mod tests {
     fn index_retire_node_rejects_live_ancestors() {
         let mut d = chain5();
         let mut index = ReachIndex::new();
-        index.sync(&d, &d.topo_order());
+        index.sync(&d);
         index.retire_node(&mut d, 2); // 1 -> 2 still live
     }
 

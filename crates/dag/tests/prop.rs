@@ -179,7 +179,7 @@ proptest! {
     ) {
         let mut dag = dag;
         let mut index = ReachIndex::new();
-        index.sync(&dag, &dag.topo_order());
+        index.sync(&dag);
         for node_deps in deps {
             let v = index.add_node(&mut dag);
             prop_assert!(index.is_current(&dag));
@@ -255,7 +255,7 @@ fn check_closure_through_rollback(
     let mut mirror = dag0; // plain adjacency + DFS oracle
     let n = dag.len();
     let mut index = ReachIndex::new();
-    index.sync(&dag, &dag.topo_order());
+    index.sync(&dag);
     let mut marks = Vec::new();
     for (a, b, kind) in ops {
         let (a, b) = ((a % n) as u32, (b % n) as u32);
@@ -280,7 +280,7 @@ fn check_closure_through_rollback(
                 }
             }
             // Re-sync, as `SchedState::from_workspace` does per run.
-            _ => index.sync(&dag, &dag.topo_order()),
+            _ => index.sync(&dag),
         }
         // Both graphs evolved identically regardless of insertion path.
         prop_assert_eq!(&dag, &mirror);
@@ -294,7 +294,7 @@ fn check_closure_through_rollback(
         }
     }
     // Final all-pairs sweep against a freshly synced closure.
-    index.sync(&dag, &dag.topo_order());
+    index.sync(&dag);
     for v in 0..n as u32 {
         for u in 0..n as u32 {
             prop_assert_eq!(index.query(v, u), reach::is_reachable(&mirror, v, u));

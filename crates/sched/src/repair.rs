@@ -976,7 +976,7 @@ impl RepairEngine {
         }
         self.dag = dag;
         if ReachIndex::fits(n) {
-            self.reach.sync(&self.dag, &self.dag.topo_order());
+            self.reach.sync(&self.dag);
         }
         self.cpm
             .recompute(&self.dag, &self.durations, None, &mut self.scratch);
