@@ -64,7 +64,9 @@ const USAGE: &str = "usage:
                   [--trace]               (PA: per-phase timing table;
                                            portfolio: per-member race table)
                   [--threads <n>]         (PA-R workers; default: all cores,
-                                           or the PRFPGA_THREADS variable)
+                                           or the PRFPGA_THREADS variable;
+                                           on more than one the schedule
+                                           can vary between runs)
                   [--serial]              (force single-threaded PA-R)
   prfpga validate --input <file.json> --schedule <schedule.json>
   prfpga replay   --input <file.json> [--trace <events.json>]
